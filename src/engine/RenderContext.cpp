@@ -8,10 +8,17 @@
 
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <mutex>
+#include <utility>
 
 using namespace dspec;
 
-RenderGrid::RenderGrid(unsigned Width, unsigned Height) : W(Width), H(Height) {
+namespace {
+
+/// The fixed inputs of every pixel of a W x H grid.
+std::vector<PixelInput> buildPixelInputs(unsigned W, unsigned H) {
+  std::vector<PixelInput> Inputs;
   Inputs.reserve(static_cast<size_t>(W) * H);
   const float EyeX = 0.0f, EyeY = 0.0f, EyeZ = 4.0f;
   for (unsigned PY = 0; PY < H; ++PY) {
@@ -45,6 +52,55 @@ RenderGrid::RenderGrid(unsigned Width, unsigned Height) : W(Width), H(Height) {
       Inputs.push_back(In);
     }
   }
+  return Inputs;
+}
+
+using PixelArray = std::vector<PixelInput>;
+
+/// The per-size intern table. Deliberately never destroyed: a grid held
+/// by a static object may outlive every other static, and its deleter
+/// still needs the table.
+struct GridTable {
+  std::mutex Mutex;
+  std::map<std::pair<unsigned, unsigned>, std::weak_ptr<const PixelArray>>
+      Arrays;
+};
+
+GridTable &gridTable() {
+  static GridTable *Table = new GridTable;
+  return *Table;
+}
+
+} // namespace
+
+RenderGrid::RenderGrid(unsigned Width, unsigned Height) : W(Width), H(Height) {
+  GridTable &Table = gridTable();
+  const std::pair<unsigned, unsigned> Key(W, H);
+  // Built under the lock, so racing constructions of one size share one
+  // array; the cost is paid once per size while any grid of it lives.
+  std::lock_guard<std::mutex> Lock(Table.Mutex);
+  std::weak_ptr<const PixelArray> &Slot = Table.Arrays[Key];
+  Inputs = Slot.lock();
+  if (Inputs)
+    return;
+  // The last handle's deleter frees the array and drops the table entry,
+  // unless a newer array of the same size has replaced it meanwhile.
+  Inputs = std::shared_ptr<const PixelArray>(
+      new PixelArray(buildPixelInputs(W, H)), [Key](const PixelArray *Array) {
+        delete Array;
+        GridTable &Table = gridTable();
+        std::lock_guard<std::mutex> Lock(Table.Mutex);
+        auto It = Table.Arrays.find(Key);
+        if (It != Table.Arrays.end() && It->second.expired())
+          Table.Arrays.erase(It);
+      });
+  Slot = Inputs;
+}
+
+size_t RenderGrid::internedSizes() {
+  GridTable &Table = gridTable();
+  std::lock_guard<std::mutex> Lock(Table.Mutex);
+  return Table.Arrays.size();
 }
 
 std::string Framebuffer::asciiArt() const {

@@ -27,6 +27,8 @@
 
 #include "vm/Value.h"
 
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace dspec {
@@ -40,19 +42,35 @@ struct PixelInput {
 };
 
 /// A W x H grid of per-pixel fixed inputs over the procedural patch.
+///
+/// The inputs are a pure function of (W, H), so a grid is a cheap handle
+/// onto one immutable PixelInput array interned per image size: every
+/// grid of one size — one per cached SpecializationUnit, snapshot warm
+/// start or shader lab — shares it. At 640x480 the array is 96 B/px
+/// (29.5 MB), several times a unit's loader arena. The intern table holds
+/// each array by weak reference and drops its entry when the last grid
+/// of that size goes away, so the table never keeps an array alive.
+/// Construction is thread-safe; concurrent constructions of one size
+/// build the array once.
 class RenderGrid {
 public:
   RenderGrid(unsigned Width, unsigned Height);
 
   unsigned width() const { return W; }
   unsigned height() const { return H; }
-  unsigned pixelCount() const { return static_cast<unsigned>(Inputs.size()); }
-  const std::vector<PixelInput> &pixels() const { return Inputs; }
+  unsigned pixelCount() const {
+    return static_cast<unsigned>(Inputs->size());
+  }
+  const std::vector<PixelInput> &pixels() const { return *Inputs; }
+
+  /// Image sizes whose pixel array some live grid holds (the intern
+  /// table's entry count).
+  static size_t internedSizes();
 
 private:
   unsigned W;
   unsigned H;
-  std::vector<PixelInput> Inputs;
+  std::shared_ptr<const std::vector<PixelInput>> Inputs;
 };
 
 /// A trivially small framebuffer for the examples: vec3 colors.

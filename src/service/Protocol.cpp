@@ -10,6 +10,7 @@
 #include "support/Crc32.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace dspec;
 
@@ -37,10 +38,10 @@ const char *dspec::renderStatusName(RenderStatus Status) {
 
 Framebuffer RenderReply::toFramebuffer() const {
   Framebuffer Fb(Width, Height);
-  size_t I = 0;
+  const float *RGB = Pixels.data();
   for (uint32_t Y = 0; Y < Height; ++Y)
-    for (uint32_t X = 0; X < Width; ++X, I += 3)
-      Fb.at(X, Y) = Value::makeVec3(Pixels[I], Pixels[I + 1], Pixels[I + 2]);
+    for (uint32_t X = 0; X < Width; ++X, RGB += 3)
+      Fb.at(X, Y) = Value::makeVec3(RGB[0], RGB[1], RGB[2]);
   return Fb;
 }
 
@@ -48,14 +49,11 @@ RenderReply RenderReply::fromFramebuffer(const Framebuffer &Fb) {
   RenderReply Reply;
   Reply.Width = Fb.width();
   Reply.Height = Fb.height();
-  Reply.Pixels.reserve(static_cast<size_t>(Fb.width()) * Fb.height() * 3);
+  Reply.Pixels.resize(static_cast<size_t>(Fb.width()) * Fb.height() * 3);
+  float *RGB = Reply.Pixels.data();
   for (uint32_t Y = 0; Y < Fb.height(); ++Y)
-    for (uint32_t X = 0; X < Fb.width(); ++X) {
-      const Value &V = Fb.at(X, Y);
-      Reply.Pixels.push_back(V.F[0]);
-      Reply.Pixels.push_back(V.F[1]);
-      Reply.Pixels.push_back(V.F[2]);
-    }
+    for (uint32_t X = 0; X < Fb.width(); ++X, RGB += 3)
+      std::memcpy(RGB, Fb.at(X, Y).F, 3 * sizeof(float));
   return Reply;
 }
 
@@ -118,6 +116,10 @@ bool dspec::decodeRenderRequest(ByteReader &R, RenderRequest &Out,
 }
 
 void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
+  // 26 fixed bytes (status 1, error length 4, width 4, height 4, hit 1,
+  // micros 8, float count 4), the error text and the pixels: one
+  // reservation for all of it.
+  W.reserve(26 + Reply.Error.size() + Reply.Pixels.size() * sizeof(float));
   W.writeU8(static_cast<uint8_t>(Reply.Status));
   W.writeString(Reply.Error);
   W.writeU32(Reply.Width);
@@ -125,8 +127,7 @@ void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
   W.writeU8(Reply.CacheHit ? 1 : 0);
   W.writeU64(Reply.ServiceMicros);
   W.writeU32(static_cast<uint32_t>(Reply.Pixels.size()));
-  for (float V : Reply.Pixels)
-    W.writeF32(V);
+  W.writeF32Array(Reply.Pixels.data(), Reply.Pixels.size());
 }
 
 bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
@@ -148,9 +149,8 @@ bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
     R.fail("pixel payload truncated");
   Out.Pixels.clear();
   if (R.ok()) {
-    Out.Pixels.reserve(NumFloats);
-    for (uint32_t I = 0; R.ok() && I < NumFloats; ++I)
-      Out.Pixels.push_back(R.readF32());
+    Out.Pixels.resize(NumFloats);
+    R.readF32Array(Out.Pixels.data(), NumFloats);
   }
   if (!R.ok() && Error)
     *Error = "render reply: " + R.error();
@@ -168,8 +168,7 @@ void dspec::encodeRenderPartial(ByteWriter &W,
   W.writeU32(Chunk.Height);
   W.writeU32(Chunk.PixelOffset);
   W.writeU32(Chunk.PixelCount);
-  for (float V : Chunk.Pixels)
-    W.writeF32(V);
+  W.writeF32Array(Chunk.Pixels.data(), Chunk.Pixels.size());
 }
 
 bool dspec::decodeRenderPartial(ByteReader &R, RenderPartialChunk &Out,
@@ -187,9 +186,8 @@ bool dspec::decodeRenderPartial(ByteReader &R, RenderPartialChunk &Out,
     R.fail("partial chunk payload truncated");
   Out.Pixels.clear();
   if (R.ok()) {
-    Out.Pixels.reserve(NumFloats);
-    for (uint64_t I = 0; R.ok() && I < NumFloats; ++I)
-      Out.Pixels.push_back(R.readF32());
+    Out.Pixels.resize(NumFloats);
+    R.readF32Array(Out.Pixels.data(), NumFloats);
   }
   if (!R.ok() && Error)
     *Error = "render partial: " + R.error();
@@ -229,18 +227,27 @@ bool dspec::decodeRenderDone(ByteReader &R, RenderStreamDone &Out,
 // Framing
 //===----------------------------------------------------------------------===//
 
+void dspec::appendFrame(std::vector<unsigned char> &Out, FrameType Type,
+                        const unsigned char *Payload, size_t Size) {
+  unsigned char Header[kFrameHeaderBytes] = {};
+  auto PutU32 = [&Header](size_t At, uint32_t V) {
+    for (int I = 0; I < 4; ++I)
+      Header[At + I] = static_cast<unsigned char>(V >> (8 * I));
+  };
+  PutU32(0, kFrameMagic);
+  Header[4] = static_cast<unsigned char>(Type);
+  PutU32(8, static_cast<uint32_t>(Size));
+  PutU32(12, crc32(Payload, Size));
+  reserveAppend(Out, sizeof(Header) + Size);
+  Out.insert(Out.end(), Header, Header + sizeof(Header));
+  Out.insert(Out.end(), Payload, Payload + Size);
+}
+
 std::vector<unsigned char>
 dspec::encodeFrame(FrameType Type, const std::vector<unsigned char> &Payload) {
-  ByteWriter W;
-  W.writeU32(kFrameMagic);
-  W.writeU8(static_cast<uint8_t>(Type));
-  W.writeU8(0);
-  W.writeU8(0);
-  W.writeU8(0);
-  W.writeU32(static_cast<uint32_t>(Payload.size()));
-  W.writeU32(crc32(Payload.data(), Payload.size()));
-  W.writeBytes(Payload.data(), Payload.size());
-  return W.takeBytes();
+  std::vector<unsigned char> Frame;
+  appendFrame(Frame, Type, Payload.data(), Payload.size());
+  return Frame;
 }
 
 bool dspec::writeFrame(Transport &T, FrameType Type,
@@ -254,7 +261,7 @@ bool dspec::readFrame(Transport &T, FrameType &Type,
                       std::string *Error) {
   if (Error)
     Error->clear(); // empty Error on return false means clean EOF
-  unsigned char Header[16];
+  unsigned char Header[kFrameHeaderBytes];
   if (!T.readAll(Header, sizeof(Header)))
     return false;
   ByteReader R(Header, sizeof(Header));

@@ -45,6 +45,9 @@ class Transport;
 /// First four bytes of every frame ("DSPF", little-endian).
 constexpr uint32_t kFrameMagic = 0x46505344u;
 
+/// Bytes of frame header in front of every payload.
+constexpr size_t kFrameHeaderBytes = 16;
+
 /// Frames larger than this are rejected before allocation (a corrupt
 /// length field must not become a giant allocation).
 constexpr uint32_t kMaxFramePayload = 64u << 20;
@@ -201,6 +204,13 @@ uint32_t pixelCrc(const std::vector<float> &Pixels);
 //===----------------------------------------------------------------------===//
 // Framing
 //===----------------------------------------------------------------------===//
+
+/// Appends one frame to \p Out: the header (magic, type, payload length,
+/// payload CRC) and then the \p Size payload bytes, growing \p Out once.
+/// The one place frames are built — encodeFrame, writeFrame and the event
+/// loop's write backlog (net/Conn) all go through it.
+void appendFrame(std::vector<unsigned char> &Out, FrameType Type,
+                 const unsigned char *Payload, size_t Size);
 
 /// Wraps \p Payload in a frame header (magic, type, length, CRC).
 std::vector<unsigned char> encodeFrame(FrameType Type,

@@ -27,6 +27,9 @@ SpecializationService::SpecializationService(const ServiceConfig &InConfig)
     Config.MaxBatch = 1;
   if (Config.QueueCapacity == 0)
     Config.QueueCapacity = 1;
+  if (Config.RenderThreads == 0)
+    Config.RenderThreads =
+        std::max(1u, std::thread::hardware_concurrency() / Config.Dispatchers);
   if (!Config.SpillDir.empty()) {
     auto Store = std::make_unique<SpillStore>();
     std::string SpillError;

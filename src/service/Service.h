@@ -52,8 +52,12 @@ class Transport;
 
 /// Sizing knobs for one service instance.
 struct ServiceConfig {
-  /// Worker threads per render engine (0 = one per hardware thread).
-  unsigned RenderThreads = 1;
+  /// Worker threads per render engine. 0 (the default) = one per
+  /// hardware thread, divided across the dispatchers: the constructor
+  /// resolves it to max(1, hardware threads / Dispatchers), so config()
+  /// reports the real count and extra dispatchers never oversubscribe
+  /// the host. Passes are bit-identical at every thread count.
+  unsigned RenderThreads = 0;
   unsigned TilePixels = 128;
   /// Capacity of the unit cache, in specialization units.
   unsigned CacheUnits = 64;
@@ -141,6 +145,7 @@ public:
   /// percentiles, queue depth.
   MetricsSnapshot statsz() const;
 
+  /// The effective configuration: zero knobs resolved to what runs.
   const ServiceConfig &config() const { return Config; }
 
 private:

@@ -17,11 +17,18 @@
 /// NaN payloads and signed zeros exactly (the snapshot round-trip
 /// guarantee is bit-identity).
 ///
+/// Float arrays (a service reply's framebuffer is 3.7 MB of them at
+/// 640x480) move in bulk: on a little-endian host the wire bytes *are*
+/// the in-memory bytes, so writeF32Array/readF32Array are one
+/// bounds-checked memcpy; a big-endian host swaps float by float.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DATASPEC_SUPPORT_BYTESTREAM_H
 #define DATASPEC_SUPPORT_BYTESTREAM_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -29,9 +36,25 @@
 
 namespace dspec {
 
+/// True when the host's float/integer byte order is the wire order, so
+/// arrays can be copied verbatim.
+constexpr bool kHostIsLittleEndian = std::endian::native == std::endian::little;
+
+/// Makes room for \p Bytes more bytes at the end of \p Buffer. Growth
+/// stays geometric, so repeated appends to one buffer (a write backlog
+/// of many frames) still copy each byte O(1) times.
+inline void reserveAppend(std::vector<unsigned char> &Buffer, size_t Bytes) {
+  if (Buffer.capacity() - Buffer.size() < Bytes)
+    Buffer.reserve(std::max(Buffer.size() + Bytes, 2 * Buffer.capacity()));
+}
+
 /// Appends little-endian fields to a byte buffer.
 class ByteWriter {
 public:
+  /// Reserves room for \p Bytes more bytes, so a caller that knows its
+  /// encoded size grows the buffer once.
+  void reserve(size_t Bytes) { reserveAppend(Buffer, Bytes); }
+
   void writeU8(uint8_t V) { Buffer.push_back(V); }
 
   void writeU32(uint32_t V) {
@@ -50,6 +73,17 @@ public:
     uint32_t Bits;
     std::memcpy(&Bits, &V, sizeof(Bits));
     writeU32(Bits);
+  }
+
+  /// \p Count floats as consecutive IEEE-754 bit patterns (what Count
+  /// writeF32 calls produce, in one copy on little-endian hosts).
+  void writeF32Array(const float *Data, size_t Count) {
+    if constexpr (kHostIsLittleEndian) {
+      writeBytes(Data, Count * sizeof(float));
+    } else {
+      for (size_t I = 0; I < Count; ++I)
+        writeF32(Data[I]);
+    }
   }
 
   /// Length-prefixed UTF-8 string.
@@ -134,6 +168,28 @@ public:
     float V;
     std::memcpy(&V, &Bits, sizeof(V));
     return V;
+  }
+
+  /// Reads \p Count floats written by writeF32Array (or Count writeF32
+  /// calls) into \p Out. On truncation latches an error, leaves \p Out
+  /// untouched and returns false.
+  bool readF32Array(float *Out, size_t Count) {
+    if (Count > SIZE_MAX / sizeof(float)) {
+      fail("float array of " + std::to_string(Count) +
+           " elements is too large");
+      return false;
+    }
+    if (!require(Count * sizeof(float)))
+      return false;
+    if constexpr (kHostIsLittleEndian) {
+      if (Count != 0)
+        std::memcpy(Out, Data + Pos, Count * sizeof(float));
+      Pos += Count * sizeof(float);
+    } else {
+      for (size_t I = 0; I < Count; ++I)
+        Out[I] = readF32();
+    }
+    return true;
   }
 
   std::string readString() {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -98,13 +99,38 @@ TEST(ServiceProtocol, RenderRequestRoundTrips) {
   EXPECT_EQ(Out.CacheByteLimit, In.CacheByteLimit);
 }
 
+float floatFromBits(uint32_t Bits) {
+  float V;
+  std::memcpy(&V, &Bits, sizeof(V));
+  return V;
+}
+
 TEST(ServiceProtocol, RenderReplyRoundTripsBitExactPixels) {
   RenderReply In;
   In.Status = RenderStatus::Ok;
-  In.Width = 2;
-  In.Height = 1;
-  // Include values whose bit patterns round-trips must preserve exactly.
-  In.Pixels = {0.1f, -0.0f, 1e-38f, 3.0f, 0.25f, 1234.5f};
+  In.Width = 3;
+  In.Height = 2;
+  // Bit patterns the bulk float copy must carry verbatim: NaNs with
+  // payloads (quiet, signaling, negative), signed zero, denormals at both
+  // ends of the range, infinities, and ordinary values.
+  In.Pixels = {0.1f,
+               -0.0f,
+               1e-38f,
+               3.0f,
+               0.25f,
+               1234.5f,
+               floatFromBits(0x7FC00001u),
+               floatFromBits(0x7F800001u),
+               floatFromBits(0xFFC0BEEFu),
+               floatFromBits(0x00000001u),
+               floatFromBits(0x807FFFFFu),
+               floatFromBits(0x80000001u),
+               floatFromBits(0x7F800000u),
+               floatFromBits(0xFF800000u),
+               0.0f,
+               -1.0f,
+               floatFromBits(0x7FFFFFFFu),
+               floatFromBits(0x00400000u)};
   In.CacheHit = true;
   In.ServiceMicros = 98765;
 
@@ -114,6 +140,7 @@ TEST(ServiceProtocol, RenderReplyRoundTripsBitExactPixels) {
   RenderReply Out;
   std::string Error;
   ASSERT_TRUE(decodeRenderReply(R, Out, &Error)) << Error;
+  EXPECT_TRUE(R.atEnd());
   EXPECT_EQ(Out.Status, In.Status);
   EXPECT_EQ(Out.Width, In.Width);
   EXPECT_EQ(Out.Height, In.Height);
@@ -123,6 +150,44 @@ TEST(ServiceProtocol, RenderReplyRoundTripsBitExactPixels) {
             0);
   EXPECT_EQ(Out.CacheHit, In.CacheHit);
   EXPECT_EQ(Out.ServiceMicros, In.ServiceMicros);
+
+  // The wire bytes are each float's little-endian IEEE-754 pattern, the
+  // same bytes per-float writeF32 produces, whatever the host order.
+  ByteWriter PerFloat;
+  for (float V : In.Pixels)
+    PerFloat.writeF32(V);
+  const size_t PixelBytes = In.Pixels.size() * sizeof(float);
+  ASSERT_GE(W.size(), PixelBytes);
+  EXPECT_EQ(std::memcmp(W.bytes().data() + W.size() - PixelBytes,
+                        PerFloat.bytes().data(), PixelBytes),
+            0);
+
+  // Every truncation of the payload is rejected with a diagnostic, never
+  // a short or garbage framebuffer.
+  for (size_t Length = 0; Length < W.size(); ++Length) {
+    ByteReader Short(W.bytes().data(), Length);
+    RenderReply Partial;
+    std::string Why;
+    EXPECT_FALSE(decodeRenderReply(Short, Partial, &Why))
+        << "accepted a payload cut at byte " << Length;
+    EXPECT_FALSE(Why.empty()) << "no diagnostic at byte " << Length;
+    EXPECT_TRUE(Partial.Pixels.empty()) << "pixels from byte " << Length;
+  }
+
+  // A float count that disagrees with width x height is rejected even
+  // though the floats it announces are all present.
+  for (size_t Floats : {size_t(0), size_t(3), In.Pixels.size() - 1,
+                        In.Pixels.size() + 3}) {
+    RenderReply Bad = In;
+    Bad.Pixels.resize(Floats, 0.5f);
+    ByteWriter BW;
+    encodeRenderReply(BW, Bad);
+    ByteReader BR(BW.bytes());
+    RenderReply Decoded;
+    std::string Why;
+    EXPECT_FALSE(decodeRenderReply(BR, Decoded, &Why)) << Floats << " floats";
+    EXPECT_NE(Why.find("does not match"), std::string::npos) << Why;
+  }
 }
 
 TEST(ServiceProtocol, FrameRejectsCorruption) {
@@ -191,6 +256,42 @@ TEST(Service, RejectsMalformedRequests) {
   MetricsSnapshot Stats = Service.statsz();
   EXPECT_EQ(Stats.BadRequests, 5u);
   EXPECT_EQ(Stats.RequestsTotal, 5u);
+}
+
+TEST(Service, ResolvesRenderThreadDefaultAcrossDispatchers) {
+  ServiceConfig Config;
+  EXPECT_EQ(Config.RenderThreads, 0u) << "default is one per hardware thread";
+  Config.Dispatchers = 2;
+  SpecializationService Service(Config);
+  // Resolved once, in the constructor: config() reports the real count,
+  // and the two dispatchers' engines together never exceed the host.
+  const unsigned Hardware = std::thread::hardware_concurrency();
+  EXPECT_EQ(Service.config().RenderThreads, std::max(1u, Hardware / 2));
+  EXPECT_EQ(Service.config().Dispatchers, 2u);
+  if (Hardware >= 2) {
+    EXPECT_LE(Service.config().RenderThreads * Service.config().Dispatchers,
+              Hardware);
+  }
+
+  // The multi-threaded default still serves bit-identical frames.
+  const ShaderInfo *Info = findShader("marble");
+  ASSERT_NE(Info, nullptr);
+  RenderRequest Request;
+  Request.Shader = "marble";
+  Request.Width = 24;
+  Request.Height = 16;
+  RenderReply Reply = Service.render(Request);
+  ASSERT_TRUE(Reply.ok()) << Reply.Error;
+  EXPECT_TRUE(bitIdentical(
+      Reply.toFramebuffer(),
+      plainReference(*Info, 24, 16, ShaderLab::defaultControls(*Info))));
+
+  // An explicit count is kept as given.
+  ServiceConfig Explicit;
+  Explicit.RenderThreads = 3;
+  Explicit.Dispatchers = 2;
+  SpecializationService Fixed(Explicit);
+  EXPECT_EQ(Fixed.config().RenderThreads, 3u);
 }
 
 TEST(Service, MatchesPlainPassForEveryShader) {

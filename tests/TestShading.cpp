@@ -4,11 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "service/UnitCache.h"
 #include "shading/ShaderLab.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <optional>
+#include <thread>
+#include <vector>
 
 using namespace dspec;
 
@@ -52,6 +57,67 @@ TEST(RenderGrid, PixelsAreDistinct) {
   RenderGrid Grid(6, 3);
   for (size_t I = 1; I < Grid.pixels().size(); ++I)
     EXPECT_FALSE(Grid.pixels()[I].P.equals(Grid.pixels()[I - 1].P));
+}
+
+TEST(RenderGrid, SharesOnePixelArrayPerSize) {
+  RenderGrid A(9, 7);
+  RenderGrid B(9, 7);
+  RenderGrid Other(7, 9); // same pixel count, different size
+  EXPECT_EQ(A.pixels().data(), B.pixels().data());
+  EXPECT_NE(A.pixels().data(), Other.pixels().data());
+  RenderGrid Copy = A;
+  EXPECT_EQ(Copy.pixels().data(), A.pixels().data());
+  EXPECT_EQ(Copy.width(), 9u);
+  EXPECT_EQ(Copy.height(), 7u);
+}
+
+TEST(RenderGrid, RebuildsIdenticallyOnceEveryHandleIsGone) {
+  // A size no other test uses, so no live grid keeps the array around.
+  const size_t SizesBefore = RenderGrid::internedSizes();
+  std::vector<PixelInput> Before;
+  {
+    RenderGrid First(13, 11);
+    RenderGrid Second(13, 11);
+    EXPECT_EQ(RenderGrid::internedSizes(), SizesBefore + 1);
+    Before = First.pixels();
+  }
+  // The table held the array weakly and drops the entry with the last
+  // handle: nothing of the size survives.
+  EXPECT_EQ(RenderGrid::internedSizes(), SizesBefore);
+  RenderGrid Again(13, 11);
+  EXPECT_EQ(RenderGrid::internedSizes(), SizesBefore + 1);
+  ASSERT_EQ(Again.pixels().size(), Before.size());
+  for (size_t I = 0; I < Before.size(); ++I) {
+    const PixelInput &X = Before[I], &Y = Again.pixels()[I];
+    EXPECT_TRUE(X.UV.equals(Y.UV) && X.P.equals(Y.P) && X.N.equals(Y.N) &&
+                X.I.equals(Y.I))
+        << "pixel " << I;
+  }
+}
+
+TEST(RenderGrid, ConcurrentConstructionsShareOneArray) {
+  constexpr unsigned Threads = 8;
+  std::vector<std::optional<RenderGrid>> Grids(Threads);
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      Ready.fetch_add(1);
+      while (Ready.load() < Threads)
+        std::this_thread::yield();
+      Grids[T].emplace(64, 48);
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 1; T < Threads; ++T)
+    EXPECT_EQ(Grids[T]->pixels().data(), Grids[0]->pixels().data());
+  EXPECT_EQ(Grids[0]->pixelCount(), 64u * 48u);
+}
+
+TEST(RenderGrid, UnitsOfOneSizeShareTheirGrid) {
+  SpecializationUnit A(20, 15), B(20, 15), C(15, 20);
+  EXPECT_EQ(A.Grid.pixels().data(), B.Grid.pixels().data());
+  EXPECT_NE(A.Grid.pixels().data(), C.Grid.pixels().data());
 }
 
 TEST(Framebuffer, StoresAndRenders) {

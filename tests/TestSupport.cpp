@@ -6,13 +6,16 @@
 
 #include "support/Arena.h"
 #include "support/Casting.h"
+#include "support/Crc32.h"
 #include "support/Diagnostics.h"
 #include "support/StringUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 using namespace dspec;
 
@@ -147,6 +150,60 @@ TEST(StringUtil, SplitTrimJoin) {
   EXPECT_FALSE(startsWith("fo", "foo"));
   EXPECT_EQ(joinStrings({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(joinStrings({}, ","), "");
+}
+
+/// The textbook byte-at-a-time CRC-32 (reflected 0xEDB88320), bit by bit:
+/// the reference the table-driven crc32 must agree with everywhere.
+uint32_t referenceCrc32(const unsigned char *Data, size_t Size,
+                        uint32_t Seed = 0) {
+  uint32_t C = Seed ^ 0xFFFFFFFFu;
+  for (size_t I = 0; I < Size; ++I) {
+    C ^= Data[I];
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> crcTestBytes(size_t Size) {
+  std::vector<unsigned char> Bytes(Size);
+  uint32_t State = 0x12345678u;
+  for (unsigned char &B : Bytes) {
+    State = State * 1664525u + 1013904223u;
+    B = static_cast<unsigned char>(State >> 24);
+  }
+  return Bytes;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const char *Check = "123456789";
+  EXPECT_EQ(crc32(Check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32("", 0), 0u);
+  // Empty input leaves any seed unchanged.
+  EXPECT_EQ(crc32(nullptr, 0, 0xDEADBEEFu), 0xDEADBEEFu);
+}
+
+TEST(Crc32, MatchesByteAtATimeAtEveryLengthAndAlignment) {
+  // Every length 0..64 from every start offset 0..7 covers the eight-byte
+  // main loop, the byte tail, and every misalignment of both.
+  std::vector<unsigned char> Bytes = crcTestBytes(64 + 8);
+  for (size_t Offset = 0; Offset < 8; ++Offset)
+    for (size_t Length = 0; Length <= 64; ++Length)
+      EXPECT_EQ(crc32(Bytes.data() + Offset, Length),
+                referenceCrc32(Bytes.data() + Offset, Length))
+          << "offset " << Offset << ", length " << Length;
+}
+
+TEST(Crc32, SeedChainsAcrossEverySplit) {
+  std::vector<unsigned char> Bytes = crcTestBytes(67);
+  const uint32_t Whole = crc32(Bytes.data(), Bytes.size());
+  EXPECT_EQ(Whole, referenceCrc32(Bytes.data(), Bytes.size()));
+  for (size_t Split = 0; Split <= Bytes.size(); ++Split) {
+    uint32_t A = crc32(Bytes.data(), Split);
+    EXPECT_EQ(crc32(Bytes.data() + Split, Bytes.size() - Split, A), Whole)
+        << "split at " << Split;
+  }
 }
 
 TEST(SourceLoc, Validity) {

@@ -119,6 +119,8 @@ void usage(const char *Argv0) {
       "arena so fresh processes warm-start straight into reader frames.\n"
       "The serve/request subcommands run the specialization service: a\n"
       "long-lived daemon with a keyed cache of specialization units.\n"
+      "serve --threads N sets each dispatcher's render threads; the\n"
+      "default 0 splits the hardware threads across --dispatchers.\n"
       "--variants N enables polyvariant specialization: up to N\n"
       "property-keyed reader variants (parameter pinned to 0 or 1) beside\n"
       "the generic one.\n"
