@@ -14,15 +14,30 @@
 
 using namespace dspec;
 
+/// One image size's interned pixel data.
+struct RenderGrid::Data {
+  size_t Count = 0;
+  /// NumColumns columns of Count floats, back to back.
+  std::vector<float> Columns;
+  /// The Value form, built on the first pixels() call.
+  mutable std::once_flag PixelsOnce;
+  mutable std::vector<PixelInput> Pixels;
+};
+
 namespace {
 
-/// The fixed inputs of every pixel of a W x H grid.
-std::vector<PixelInput> buildPixelInputs(unsigned W, unsigned H) {
-  std::vector<PixelInput> Inputs;
-  Inputs.reserve(static_cast<size_t>(W) * H);
+using GridData = RenderGrid::Data;
+
+/// The fixed inputs of every pixel of a W x H grid, as columns.
+GridData *buildGridData(unsigned W, unsigned H) {
+  auto *Out = new GridData;
+  Out->Count = static_cast<size_t>(W) * H;
+  Out->Columns.resize(RenderGrid::NumColumns * Out->Count);
+  auto Col = [&](unsigned C) { return Out->Columns.data() + C * Out->Count; };
   const float EyeX = 0.0f, EyeY = 0.0f, EyeZ = 4.0f;
+  size_t Index = 0;
   for (unsigned PY = 0; PY < H; ++PY) {
-    for (unsigned PX = 0; PX < W; ++PX) {
+    for (unsigned PX = 0; PX < W; ++PX, ++Index) {
       float U = W > 1 ? static_cast<float>(PX) / (W - 1) : 0.0f;
       float V = H > 1 ? static_cast<float>(PY) / (H - 1) : 0.0f;
       float X = U * 2.0f - 1.0f;
@@ -44,26 +59,22 @@ std::vector<PixelInput> buildPixelInputs(unsigned W, unsigned H) {
       IY /= ILen;
       IZ /= ILen;
 
-      PixelInput In;
-      In.UV = Value::makeVec2(U, V);
-      In.P = Value::makeVec3(X, Y, Z);
-      In.N = Value::makeVec3(NX, NY, NZ);
-      In.I = Value::makeVec3(IX, IY, IZ);
-      Inputs.push_back(In);
+      const float Fields[RenderGrid::NumColumns] = {U,  V,  X,  Y,  Z, NX,
+                                                    NY, NZ, IX, IY, IZ};
+      for (unsigned C = 0; C < RenderGrid::NumColumns; ++C)
+        Col(C)[Index] = Fields[C];
     }
   }
-  return Inputs;
+  return Out;
 }
-
-using PixelArray = std::vector<PixelInput>;
 
 /// The per-size intern table. Deliberately never destroyed: a grid held
 /// by a static object may outlive every other static, and its deleter
 /// still needs the table.
 struct GridTable {
   std::mutex Mutex;
-  std::map<std::pair<unsigned, unsigned>, std::weak_ptr<const PixelArray>>
-      Arrays;
+  std::map<std::pair<unsigned, unsigned>, std::weak_ptr<const GridData>>
+      Entries;
 };
 
 GridTable &gridTable() {
@@ -77,30 +88,54 @@ RenderGrid::RenderGrid(unsigned Width, unsigned Height) : W(Width), H(Height) {
   GridTable &Table = gridTable();
   const std::pair<unsigned, unsigned> Key(W, H);
   // Built under the lock, so racing constructions of one size share one
-  // array; the cost is paid once per size while any grid of it lives.
+  // entry; the cost is paid once per size while any grid of it lives.
   std::lock_guard<std::mutex> Lock(Table.Mutex);
-  std::weak_ptr<const PixelArray> &Slot = Table.Arrays[Key];
-  Inputs = Slot.lock();
-  if (Inputs)
+  std::weak_ptr<const GridData> &Slot = Table.Entries[Key];
+  Shared = Slot.lock();
+  if (Shared)
     return;
-  // The last handle's deleter frees the array and drops the table entry,
-  // unless a newer array of the same size has replaced it meanwhile.
-  Inputs = std::shared_ptr<const PixelArray>(
-      new PixelArray(buildPixelInputs(W, H)), [Key](const PixelArray *Array) {
-        delete Array;
+  // The last handle's deleter frees the data and drops the table entry,
+  // unless a newer entry of the same size has replaced it meanwhile.
+  Shared = std::shared_ptr<const GridData>(
+      buildGridData(W, H), [Key](const GridData *Data) {
+        delete Data;
         GridTable &Table = gridTable();
         std::lock_guard<std::mutex> Lock(Table.Mutex);
-        auto It = Table.Arrays.find(Key);
-        if (It != Table.Arrays.end() && It->second.expired())
-          Table.Arrays.erase(It);
+        auto It = Table.Entries.find(Key);
+        if (It != Table.Entries.end() && It->second.expired())
+          Table.Entries.erase(It);
       });
-  Slot = Inputs;
+  Slot = Shared;
+}
+
+const float *RenderGrid::column(unsigned C) const {
+  return Shared->Columns.data() + C * Shared->Count;
+}
+
+PixelInput RenderGrid::pixel(size_t Index) const {
+  auto At = [&](unsigned C) { return column(C)[Index]; };
+  PixelInput In;
+  In.UV = Value::makeVec2(At(UVX), At(UVY));
+  In.P = Value::makeVec3(At(PX), At(PY), At(PZ));
+  In.N = Value::makeVec3(At(NX), At(NY), At(NZ));
+  In.I = Value::makeVec3(At(IX), At(IY), At(IZ));
+  return In;
+}
+
+const std::vector<PixelInput> &RenderGrid::pixels() const {
+  std::call_once(Shared->PixelsOnce, [this] {
+    std::vector<PixelInput> &Out = Shared->Pixels;
+    Out.reserve(Shared->Count);
+    for (size_t I = 0; I < Shared->Count; ++I)
+      Out.push_back(pixel(I));
+  });
+  return Shared->Pixels;
 }
 
 size_t RenderGrid::internedSizes() {
   GridTable &Table = gridTable();
   std::lock_guard<std::mutex> Lock(Table.Mutex);
-  return Table.Arrays.size();
+  return Table.Entries.size();
 }
 
 std::string Framebuffer::asciiArt() const {

@@ -44,33 +44,48 @@ struct PixelInput {
 /// A W x H grid of per-pixel fixed inputs over the procedural patch.
 ///
 /// The inputs are a pure function of (W, H), so a grid is a cheap handle
-/// onto one immutable PixelInput array interned per image size: every
-/// grid of one size — one per cached SpecializationUnit, snapshot warm
-/// start or shader lab — shares it. At 640x480 the array is 96 B/px
-/// (29.5 MB), several times a unit's loader arena. The intern table holds
-/// each array by weak reference and drops its entry when the last grid
-/// of that size goes away, so the table never keeps an array alive.
-/// Construction is thread-safe; concurrent constructions of one size
-/// build the array once.
+/// onto immutable pixel data interned per image size: every grid of one
+/// size — one per cached SpecializationUnit, snapshot warm start or
+/// shader lab — shares it. The data is 11 f32 columns (uv.xy, P.xyz,
+/// N.xyz, I.xyz), 44 B/px: the batched tier copies a tile's parameters
+/// straight out of them. The per-pixel tiers build one pixel's Values
+/// with pixel(). The intern table holds each entry by weak reference and
+/// drops it when the last grid of that size goes away, so the table
+/// never keeps data alive. Construction is thread-safe; concurrent
+/// constructions of one size build the data once.
 class RenderGrid {
 public:
+  /// The f32 columns, in storage order.
+  enum Column : unsigned { UVX, UVY, PX, PY, PZ, NX, NY, NZ, IX, IY, IZ,
+                           NumColumns };
+
   RenderGrid(unsigned Width, unsigned Height);
 
   unsigned width() const { return W; }
   unsigned height() const { return H; }
-  unsigned pixelCount() const {
-    return static_cast<unsigned>(Inputs->size());
-  }
-  const std::vector<PixelInput> &pixels() const { return *Inputs; }
+  unsigned pixelCount() const { return W * H; }
 
-  /// Image sizes whose pixel array some live grid holds (the intern
+  /// Column \p C: one float per pixel, in pixel order.
+  const float *column(unsigned C) const;
+
+  /// The fixed inputs of pixel \p Index as Values.
+  PixelInput pixel(size_t Index) const;
+
+  /// Every pixel's inputs as Values, built once per image size on first
+  /// use and shared by every grid of that size (tests and benches; the
+  /// render path reads columns).
+  const std::vector<PixelInput> &pixels() const;
+
+  /// Image sizes whose pixel data some live grid holds (the intern
   /// table's entry count).
   static size_t internedSizes();
+
+  struct Data;
 
 private:
   unsigned W;
   unsigned H;
-  std::shared_ptr<const std::vector<PixelInput>> Inputs;
+  std::shared_ptr<const Data> Shared;
 };
 
 /// A trivially small framebuffer for the examples: vec3 colors.
@@ -81,6 +96,8 @@ public:
 
   unsigned width() const { return W; }
   unsigned height() const { return H; }
+  /// Pixel-order storage: pixel (X, Y) at data()[Y * width() + X].
+  Value *data() { return Pixels.data(); }
   Value &at(unsigned X, unsigned Y) { return Pixels[size_t(Y) * W + X]; }
   const Value &at(unsigned X, unsigned Y) const {
     return Pixels[size_t(Y) * W + X];

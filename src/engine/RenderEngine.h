@@ -125,6 +125,15 @@ public:
                   const std::vector<float> &Controls, const CacheArena &Arena,
                   Framebuffer *Out = nullptr);
 
+  /// Runs the reader like readerPass, writing each pixel's result as
+  /// three floats — components 0..2 of its payload, exactly what
+  /// RenderReply::fromFramebuffer copies out of a Framebuffer — to
+  /// \p RGB (3 x pixelCount floats, pixel order). The service renders
+  /// reply payloads this way, with no Framebuffer in between.
+  bool readerPassRGB(const Chunk &Reader, const RenderGrid &Grid,
+                     const std::vector<float> &Controls,
+                     const CacheArena &Arena, float *RGB);
+
   /// Runs an unspecialized fragment over every pixel.
   bool plainPass(const Chunk &Original, const RenderGrid &Grid,
                  const std::vector<float> &Controls,
@@ -204,9 +213,10 @@ private:
   /// Exactly one of \p MutArena / \p ROArena may be non-null: loader
   /// passes get a writable arena, reader passes a read-only one (cache
   /// stores trap in every tier — no const_cast anywhere on the path).
+  /// Results go to \p Out, \p RGB, both or neither.
   bool runPass(const Chunk &Code, const RenderGrid &Grid,
                const std::vector<float> &Controls, CacheArena *MutArena,
-               const CacheArena *ROArena, Framebuffer *Out);
+               const CacheArena *ROArena, Framebuffer *Out, float *RGB);
 
   // Held by pointer so the engine stays movable (the pool owns mutexes
   // and worker threads, which pin it in place).

@@ -337,15 +337,19 @@ UnitPtr SpecializationService::loadOrBuildUnit(const Pending &P,
 
 void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
                                    bool CacheHit, RenderEngine &Engine) {
-  Framebuffer Fb(P.Request.Width, P.Request.Height);
-  if (!Engine.readerPass(Unit->Reader, Unit->Grid, P.Request.Controls,
-                         Unit->Arena, &Fb)) {
+  // The reader writes the reply payload itself: 3 floats per pixel, no
+  // Framebuffer of Values in between.
+  RenderReply Reply;
+  Reply.Width = P.Request.Width;
+  Reply.Height = P.Request.Height;
+  Reply.Pixels.resize(static_cast<size_t>(Reply.Width) * Reply.Height * 3);
+  if (!Engine.readerPassRGB(Unit->Reader, Unit->Grid, P.Request.Controls,
+                            Unit->Arena, Reply.Pixels.data())) {
     Metrics.recordRenderTrap(secondsSince(P.Enqueued));
     reject(P, RenderStatus::RenderTrap,
            "reader pass trapped: " + Engine.lastTrap());
     return;
   }
-  RenderReply Reply = RenderReply::fromFramebuffer(Fb);
   Reply.CacheHit = CacheHit;
   double Latency = secondsSince(P.Enqueued);
   Reply.ServiceMicros = static_cast<uint64_t>(Latency * 1e6);

@@ -21,10 +21,20 @@
 #include <new>
 #include <vector>
 
+#include <sys/mman.h>
+
 namespace dspec {
 
+/// Allocations of at least this many bytes are mapped straight from the
+/// kernel and unmapped on release.
+constexpr size_t kDirectMapBytes = size_t(1) << 20;
+
 /// std::allocator drop-in that over-aligns every allocation to
-/// \p Alignment bytes (a power of two, at least alignof(T)).
+/// \p Alignment bytes (a power of two, at least alignof(T), at most a
+/// page). Allocations of kDirectMapBytes and up bypass the heap with
+/// mmap/munmap: an evicted multi-MB arena then returns its memory to the
+/// system at once, instead of staying in a heap whose mmap threshold
+/// glibc raises after the first large free.
 template <typename T, size_t Alignment> struct AlignedAllocator {
   using value_type = T;
 
@@ -35,15 +45,27 @@ template <typename T, size_t Alignment> struct AlignedAllocator {
   T *allocate(size_t N) {
     if (N == 0)
       return nullptr;
-    // Over-aligned operator new is C++17; size must be a multiple of the
-    // alignment for some implementations of aligned allocation, so round.
-    size_t Bytes = (N * sizeof(T) + Alignment - 1) / Alignment * Alignment;
+    const size_t Bytes = roundedBytes(N);
+    if (Bytes >= kDirectMapBytes) {
+      // Page-aligned, hence Alignment-aligned, and zero-filled.
+      void *P = ::mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (P == MAP_FAILED)
+        throw std::bad_alloc();
+      return static_cast<T *>(P);
+    }
     return static_cast<T *>(
         ::operator new(Bytes, std::align_val_t(Alignment)));
   }
 
-  void deallocate(T *P, size_t) {
-    ::operator delete(P, std::align_val_t(Alignment));
+  void deallocate(T *P, size_t N) {
+    if (!P)
+      return;
+    const size_t Bytes = roundedBytes(N);
+    if (Bytes >= kDirectMapBytes)
+      ::munmap(P, Bytes);
+    else
+      ::operator delete(P, std::align_val_t(Alignment));
   }
 
   template <typename U> struct rebind {
@@ -55,6 +77,13 @@ template <typename T, size_t Alignment> struct AlignedAllocator {
   }
   friend bool operator!=(const AlignedAllocator &, const AlignedAllocator &) {
     return false;
+  }
+
+private:
+  /// Size must be a multiple of the alignment for some implementations
+  /// of aligned allocation, so round.
+  static size_t roundedBytes(size_t N) {
+    return (N * sizeof(T) + Alignment - 1) / Alignment * Alignment;
   }
 };
 

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lang/Builtins.h"
+#include "vm/InterpOps.h"
 #include "vm/Noise.h"
 #include "vm/VM.h"
 
@@ -108,11 +109,11 @@ Value callBuiltinImpl(uint16_t Id, const Value *A, VM &Machine) {
   case BuiltinId::BI_PowF:
     return Value::makeFloat(std::pow(A[0].asFloat(), A[1].asFloat()));
   case BuiltinId::BI_MinF:
-    return Value::makeFloat(std::fmin(A[0].asFloat(), A[1].asFloat()));
+    return Value::makeFloat(interp::minF(A[0].asFloat(), A[1].asFloat()));
   case BuiltinId::BI_MinI:
     return Value::makeInt(A[0].I < A[1].I ? A[0].I : A[1].I);
   case BuiltinId::BI_MaxF:
-    return Value::makeFloat(std::fmax(A[0].asFloat(), A[1].asFloat()));
+    return Value::makeFloat(interp::maxF(A[0].asFloat(), A[1].asFloat()));
   case BuiltinId::BI_MaxI:
     return Value::makeInt(A[0].I > A[1].I ? A[0].I : A[1].I);
   case BuiltinId::BI_ClampF: {
@@ -195,9 +196,9 @@ Value callBuiltinImpl(uint16_t Id, const Value *A, VM &Machine) {
     return Out;
   }
   case BuiltinId::BI_MinV3:
-    return vecOp2(A[0], A[1], [](float X, float Y) { return std::fmin(X, Y); });
+    return vecOp2(A[0], A[1], interp::minF);
   case BuiltinId::BI_MaxV3:
-    return vecOp2(A[0], A[1], [](float X, float Y) { return std::fmax(X, Y); });
+    return vecOp2(A[0], A[1], interp::maxF);
   case BuiltinId::BI_RotateXV3:
     return rotate(A[0], A[1].asFloat(), 0);
   case BuiltinId::BI_RotateYV3:

@@ -113,9 +113,24 @@ public:
     return Offset + Width <= Size && Width != 0;
   }
 
+  /// Reads the slot of \p Kind at logical byte \p Offset. The caller must
+  /// have bounds-checked via inBounds.
+  Value load(unsigned Offset, TypeKind Kind) const {
+    return loadRaw(Bytes + displacement(Offset), Kind);
+  }
+
+  /// Writes \p V into the slot at logical \p Offset. \p V's runtime kind
+  /// selects the byte width; the caller must have bounds-checked via
+  /// inBounds, verified the kind matches the layout's slot type, and
+  /// rejected read-only views (readOnly()) with its tier's trap.
+  void store(unsigned Offset, const Value &V) {
+    if (!Mut)
+      return; // defense in depth: the tiers trap before reaching here
+    storeRaw(Mut + displacement(Offset), V);
+  }
+
+private:
   /// Builds a Value of \p Kind from the raw slot bytes at \p Slot.
-  /// Exactly CacheView::load with the addressing hoisted out — the
-  /// batched interpreter's strided row loops use it directly.
   static Value loadRaw(const unsigned char *Slot, TypeKind Kind) {
     Value Out;
     Out.Kind = Kind;
@@ -167,23 +182,6 @@ public:
     }
   }
 
-  /// Reads the slot of \p Kind at logical byte \p Offset. The caller must
-  /// have bounds-checked via inBounds.
-  Value load(unsigned Offset, TypeKind Kind) const {
-    return loadRaw(Bytes + displacement(Offset), Kind);
-  }
-
-  /// Writes \p V into the slot at logical \p Offset. \p V's runtime kind
-  /// selects the byte width; the caller must have bounds-checked via
-  /// inBounds, verified the kind matches the layout's slot type, and
-  /// rejected read-only views (readOnly()) with its tier's trap.
-  void store(unsigned Offset, const Value &V) {
-    if (!Mut)
-      return; // defense in depth: the tiers trap before reaching here
-    storeRaw(Mut + displacement(Offset), V);
-  }
-
-private:
   /// Physical byte displacement of logical \p Offset from the view base.
   size_t displacement(unsigned Offset) const {
     if (!Map)

@@ -440,6 +440,273 @@ bool classifyDiamond(const ExecChunk &C, const std::vector<int> &Depth,
   return true;
 }
 
+//===----------------------------------------------------------------------===//
+// Static lane kinds
+//===----------------------------------------------------------------------===//
+
+constexpr TypeKind KVoid = TypeKind::TK_Void;
+constexpr TypeKind KBool = TypeKind::TK_Bool;
+constexpr TypeKind KInt = TypeKind::TK_Int;
+constexpr TypeKind KFloat = TypeKind::TK_Float;
+
+bool isVecKind(TypeKind K) {
+  return K == TypeKind::TK_Vec2 || K == TypeKind::TK_Vec3 ||
+         K == TypeKind::TK_Vec4;
+}
+bool isNumScalar(TypeKind K) { return K == KInt || K == KFloat; }
+
+/// Result kind of Add/Sub/Mul/Div under interp::arith, or Void for the
+/// mixes arith only defines through a Value's payload layout (bools,
+/// vectors of different widths).
+TypeKind arithKind(TypeKind L, TypeKind R) {
+  if (L == KInt && R == KInt)
+    return KInt;
+  if (isNumScalar(L) && isNumScalar(R))
+    return KFloat;
+  if (isVecKind(L) && (R == L || isNumScalar(R)))
+    return L;
+  if (isNumScalar(L) && isVecKind(R))
+    return R;
+  return KVoid;
+}
+
+/// Result kind of calling \p Id on arguments of \p Args kinds: the
+/// declared result when every argument has its parameter's kind (an int
+/// may stand for a float parameter, which callBuiltinImpl promotes), Void
+/// otherwise — several builtins return their argument's kind, so a
+/// mismatched call has no static result kind.
+TypeKind builtinKind(int32_t Id, const TypeKind *Args, int32_t Argc) {
+  const BuiltinInfo &Info = getBuiltinInfo(static_cast<BuiltinId>(Id));
+  if (Argc < 0 || static_cast<size_t>(Argc) != Info.ParamTypes.size())
+    return KVoid;
+  for (int32_t A = 0; A < Argc; ++A) {
+    const TypeKind Want = Info.ParamTypes[A].kind();
+    if (Args[A] != Want && !(Args[A] == KInt && Want == KFloat))
+      return KVoid;
+  }
+  return Info.ResultType.kind();
+}
+
+/// Infers C.StackKinds over the decoded stream (see ExecChunk::StackKinds
+/// for what must hold). Returns false when some kind is not static.
+bool inferStackKinds(ExecChunk &C) {
+  const size_t N = C.Code.size();
+  const unsigned MS = C.MaxStack;
+  for (TypeKind K : C.LocalTypes)
+    if (K == KVoid)
+      return false;
+  C.StackKinds.assign(N * MS, KVoid);
+  std::vector<int> Depth(N, -1);
+  std::vector<size_t> Worklist;
+  if (N > 0) {
+    Depth[0] = 0;
+    Worklist.push_back(0);
+  }
+
+  std::vector<TypeKind> S; // abstract stack of the instruction in flight
+  S.reserve(MS + 2);
+  auto Flow = [&](size_t Target) {
+    if (Target >= N)
+      return true; // falling off the end halts with a void result
+    TypeKind *Entry = C.StackKinds.data() + Target * MS;
+    if (Depth[Target] == -1) {
+      if (S.size() > MS)
+        return false;
+      Depth[Target] = static_cast<int>(S.size());
+      std::copy(S.begin(), S.end(), Entry);
+      Worklist.push_back(Target);
+      return true;
+    }
+    return Depth[Target] == static_cast<int>(S.size()) &&
+           std::equal(S.begin(), S.end(), Entry);
+  };
+  auto Pop = [&]() {
+    TypeKind K = S.back();
+    S.pop_back();
+    return K;
+  };
+  auto Local = [&](int32_t Slot) {
+    return C.LocalTypes[static_cast<size_t>(Slot)];
+  };
+  // One binary operator over the top two entries; Void = undefined mix.
+  auto Binary = [&](FusedOp Op, TypeKind L, TypeKind R) -> TypeKind {
+    switch (Op) {
+    case FusedOp::F_Add:
+    case FusedOp::F_Sub:
+    case FusedOp::F_Mul:
+    case FusedOp::F_Div:
+      return arithKind(L, R);
+    case FusedOp::F_Mod:
+      return L == KInt && R == KInt ? KInt : KVoid;
+    case FusedOp::F_Lt:
+    case FusedOp::F_Le:
+    case FusedOp::F_Gt:
+    case FusedOp::F_Ge:
+      return isNumScalar(L) && isNumScalar(R) ? KBool : KVoid;
+    case FusedOp::F_Eq:
+    case FusedOp::F_Ne:
+      return (L == KBool && R == KBool) || (isNumScalar(L) && isNumScalar(R))
+                 ? KBool
+                 : KVoid;
+    case FusedOp::F_And:
+    case FusedOp::F_Or:
+      return L == KBool && R == KBool ? KBool : KVoid;
+    default:
+      return KVoid;
+    }
+  };
+  auto Push = [&](TypeKind K) {
+    S.push_back(K);
+    return K != KVoid;
+  };
+  auto Call = [&](int32_t Id, int32_t Argc) {
+    if (Argc < 0 || S.size() < static_cast<size_t>(Argc))
+      return false;
+    TypeKind R = builtinKind(Id, S.data() + S.size() - Argc, Argc);
+    S.resize(S.size() - static_cast<size_t>(Argc));
+    return Push(R);
+  };
+
+  while (!Worklist.empty()) {
+    const size_t IP = Worklist.back();
+    Worklist.pop_back();
+    const ExecInstr &In = C.Code[IP];
+    const TypeKind *Entry = C.StackKinds.data() + IP * MS;
+    S.assign(Entry, Entry + Depth[IP]);
+    bool Ok = true;
+    bool Terminal = false;
+    int32_t Target = -1;
+
+    switch (In.Op) {
+    case FusedOp::F_Const:
+      Ok = Push(In.K->Kind);
+      break;
+    case FusedOp::F_LoadLocal:
+      Ok = Push(Local(In.A));
+      break;
+    case FusedOp::F_StoreLocal:
+      Ok = Pop() == Local(In.A);
+      break;
+    case FusedOp::F_Convert: {
+      const TypeKind From = Pop();
+      const TypeKind To = static_cast<TypeKind>(In.A);
+      Ok = (From == To || (From == KInt && To == KFloat)) && Push(To);
+      break;
+    }
+    case FusedOp::F_Pop:
+      Pop();
+      break;
+    case FusedOp::F_Neg: {
+      const TypeKind K = Pop();
+      Ok = (isNumScalar(K) || isVecKind(K)) && Push(K);
+      break;
+    }
+    case FusedOp::F_Not:
+      Ok = Pop() == KBool && Push(KBool);
+      break;
+    case FusedOp::F_Add:
+    case FusedOp::F_Sub:
+    case FusedOp::F_Mul:
+    case FusedOp::F_Div:
+    case FusedOp::F_Mod:
+    case FusedOp::F_Lt:
+    case FusedOp::F_Le:
+    case FusedOp::F_Gt:
+    case FusedOp::F_Ge:
+    case FusedOp::F_Eq:
+    case FusedOp::F_Ne:
+    case FusedOp::F_And:
+    case FusedOp::F_Or: {
+      const TypeKind R = Pop(), L = Pop();
+      Ok = Push(Binary(In.Op, L, R));
+      break;
+    }
+    case FusedOp::F_Select: {
+      const TypeKind F = Pop(), T = Pop();
+      Ok = Pop() == KBool && T == F && Push(T);
+      break;
+    }
+    case FusedOp::F_Jump:
+      Target = In.A;
+      Terminal = true;
+      break;
+    case FusedOp::F_JumpIfFalse:
+      Ok = Pop() == KBool;
+      Target = In.A;
+      break;
+    case FusedOp::F_CallBuiltin:
+      Ok = Call(In.A, In.B);
+      break;
+    case FusedOp::F_Member: {
+      const TypeKind K = Pop();
+      const unsigned Width = isVecKind(K) ? Type(K).vectorWidth()
+                                          : (K == KFloat ? 1u : 0u);
+      Ok = In.A >= 0 && static_cast<unsigned>(In.A) < Width && Push(KFloat);
+      break;
+    }
+    case FusedOp::F_CacheLoad:
+      Ok = Push(static_cast<TypeKind>(In.C));
+      break;
+    case FusedOp::F_CacheStore:
+      Ok = S.back() == static_cast<TypeKind>(In.C);
+      break;
+    case FusedOp::F_Return:
+      Ok = Pop() != KVoid;
+      Terminal = true;
+      break;
+    case FusedOp::F_ReturnVoid:
+      Terminal = true;
+      break;
+    case FusedOp::F_ConstAdd:
+    case FusedOp::F_ConstMul: {
+      const TypeKind L = Pop();
+      Ok = Push(arithKind(L, In.K->Kind));
+      break;
+    }
+    case FusedOp::F_LoadLoad:
+      Ok = Push(Local(In.A)) && Push(Local(In.A2));
+      break;
+    case FusedOp::F_StoreLoad:
+      Ok = Pop() == Local(In.A) && Push(Local(In.A2));
+      break;
+    case FusedOp::F_LoadCall:
+      Ok = Push(Local(In.A)) && Call(In.A2, In.B2);
+      break;
+    case FusedOp::F_CacheLoadAdd:
+    case FusedOp::F_CacheLoadMul: {
+      const TypeKind L = Pop();
+      Ok = Push(arithKind(L, static_cast<TypeKind>(In.C)));
+      break;
+    }
+    case FusedOp::F_CacheLoadStore:
+      Ok = static_cast<TypeKind>(In.C) == Local(In.A2);
+      break;
+    case FusedOp::F_CacheLoadRet:
+      Terminal = true;
+      break;
+    case FusedOp::F_LtJf:
+    case FusedOp::F_LeJf:
+    case FusedOp::F_GtJf:
+    case FusedOp::F_GeJf: {
+      const TypeKind R = Pop(), L = Pop();
+      Ok = isNumScalar(L) && isNumScalar(R);
+      Target = In.A2;
+      break;
+    }
+    case FusedOp::F_OpCount:
+      Ok = false;
+      break;
+    }
+
+    if (!Ok || (Target >= 0 && !Flow(static_cast<size_t>(Target))) ||
+        (!Terminal && !Flow(IP + 1))) {
+      C.StackKinds.clear();
+      return false;
+    }
+  }
+  return true;
+}
+
 } // namespace
 
 ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
@@ -470,10 +737,6 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
         getBuiltinInfo(static_cast<BuiltinId>(In.A)).HasGlobalEffect)
       Out.HasEffects = true;
   }
-  // Effect order is the only thing the masked batched tier cannot
-  // reproduce; every other chunk at least *attempts* batching and bails
-  // per-tile if unmaskable control flow actually diverges.
-  Out.BatchSafe = !Out.HasEffects;
 
   // Decode with fusion. A pair is only fused when its second instruction
   // is not a jump target (jumping to the first of a fused pair is fine:
@@ -538,6 +801,21 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
     }
   }
 
+  // Effect order and non-static kinds are what the typed, masked batched
+  // tier cannot reproduce; every other chunk at least *attempts*
+  // batching and bails per-tile if unmaskable control flow actually
+  // diverges.
+  Out.BatchSafe = !Out.HasEffects && inferStackKinds(Out);
+  if (Out.BatchSafe) {
+    Out.ReadLocals.assign(Out.numLocals(), 0);
+    for (const ExecInstr &E : Out.Code) {
+      if (E.Op == FusedOp::F_LoadLocal || E.Op == FusedOp::F_LoadLoad ||
+          E.Op == FusedOp::F_LoadCall)
+        Out.ReadLocals[static_cast<size_t>(E.A)] = 1;
+      if (E.Op == FusedOp::F_LoadLoad || E.Op == FusedOp::F_StoreLoad)
+        Out.ReadLocals[static_cast<size_t>(E.A2)] = 1;
+    }
+  }
   Out.Valid = true;
   return Out;
 }

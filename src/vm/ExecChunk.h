@@ -142,15 +142,44 @@ struct ExecChunk {
   /// Calls at least one builtin with a global effect (dsc_trace /
   /// dsc_clock), whose call order is observable.
   bool HasEffects = false;
-  /// Valid and effect-free: eligible for pixel-batched execution. Since
-  /// the batched tier gained mask-based divergent-lane execution, branchy
-  /// chunks qualify too — runBatch runs maskable diamonds under a
-  /// per-lane mask, takes uniform branches in lockstep, and *bails out*
-  /// of the tile (ExecResult::Diverged, not a trap) when an unmaskable
-  /// branch actually diverges at runtime; the engine then re-runs the
-  /// tile per-pixel. Only observable effect order still forces per-pixel
-  /// execution up front.
+  /// Valid, effect-free and statically kinded: eligible for pixel-batched
+  /// execution. Since the batched tier gained mask-based divergent-lane
+  /// execution, branchy chunks qualify too — runBatch runs maskable
+  /// diamonds under a per-lane mask, takes uniform branches in lockstep,
+  /// and *bails out* of the tile (ExecResult::Diverged, not a trap) when
+  /// an unmaskable branch actually diverges at runtime; the engine then
+  /// re-runs the tile per-pixel. Observable effect order and kinds that
+  /// are not a function of the instruction index alone (see StackKinds)
+  /// force per-pixel execution up front.
   bool BatchSafe = false;
+
+  /// Static kind of every operand-stack entry on entry to each decoded
+  /// instruction, inferred by abstract interpretation next to MaxStack:
+  /// entry (I, D) is the kind at depth D before instruction I executes
+  /// (TK_Void above the entry depth and at unreachable instructions).
+  /// Locals keep their declared LocalTypes throughout. The batched tier
+  /// stores each stack depth and local as typed f32/i32 columns, so it
+  /// needs these kinds to be a function of the instruction index alone;
+  /// inference fails — and the chunk runs per-pixel — on any chunk where
+  /// they are not:
+  ///   - a join (jump target or Select) whose incoming kinds differ;
+  ///   - a store to a local or cache slot of a different kind;
+  ///   - a Member index past the vector's width (a Value reads its zero
+  ///     padding there, a column would read stale data);
+  ///   - an operand mix the shared InterpOps.h semantics only define
+  ///     through a Value's payload layout (e.g. a vector compared, a
+  ///     float used as a branch condition, mismatched vector widths).
+  /// Empty unless BatchSafe.
+  std::vector<TypeKind> StackKinds;
+  const TypeKind *entryKinds(size_t I) const {
+    return StackKinds.data() + I * MaxStack;
+  }
+  /// ReadLocals[S] is nonzero iff some instruction reads local S. The
+  /// initial value of any other local is unobservable, so the batched
+  /// tier copies in (or zero-fills) only the locals read — a reader
+  /// that uses one control of ten broadcasts one. Empty unless
+  /// BatchSafe.
+  std::vector<uint8_t> ReadLocals;
   /// Any backward jump in the decoded stream (loops).
   bool HasLoops = false;
 

@@ -134,6 +134,26 @@ inline Value opNe(const Value &L, const Value &R) {
   return compare(L, R, [](float A, float B) { return A != B; });
 }
 
+/// The min/max builtins. std::fmin/fmax leave the sign of a zero result
+/// open when -0.0 meets +0.0, and the compiler expands them differently
+/// in scalar and vectorized code, so every tier calls these instead: a
+/// NaN operand yields the other operand, otherwise the smaller (larger)
+/// by <, and the first operand on a tie.
+inline float minF(float X, float Y) {
+  if (X != X)
+    return Y;
+  if (Y != Y)
+    return X;
+  return Y < X ? Y : X;
+}
+inline float maxF(float X, float Y) {
+  if (X != X)
+    return Y;
+  if (Y != Y)
+    return X;
+  return X < Y ? Y : X;
+}
+
 /// Branch-condition truth of the fused compare+JumpIfFalse pairs, shared
 /// by the threaded tier's scalar jumps and the batched tier's per-lane
 /// uniformity/divergence decisions so both agree bit-for-bit with the

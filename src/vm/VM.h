@@ -64,14 +64,35 @@ struct ExecResult {
   bool ok() const { return !Trapped; }
 };
 
-/// One tile's worth of pixels for the batched interpreter: lane-major
-/// argument values, strided packed caches, and a result slot per lane.
-/// The caller (the render engine) fills identical per-lane arguments to
+/// One parameter of a batched tile: typed columns that vary per lane, or
+/// one value broadcast to every lane (a control that is uniform across
+/// the tile).
+struct BatchArg {
+  /// Every lane's kind.
+  TypeKind Kind = TypeKind::TK_Void;
+  /// Lane-varying float kinds: component C of lane L at Cols[C][L].
+  const float *Cols[4] = {nullptr, nullptr, nullptr, nullptr};
+  /// Lane-varying int/bool: lane L at Ints[L].
+  const int32_t *Ints = nullptr;
+  /// The broadcast value when no column is set.
+  Value Uniform;
+
+  static BatchArg uniform(const Value &V) {
+    BatchArg A;
+    A.Kind = V.Kind;
+    A.Uniform = V;
+    return A;
+  }
+  bool varying() const { return Cols[0] != nullptr || Ints != nullptr; }
+};
+
+/// One tile's worth of pixels for the batched interpreter: per-parameter
+/// columns, strided packed caches, and where each lane's result goes.
+/// The caller (the render engine) passes identical per-lane arguments to
 /// what it would pass the scalar tiers.
 struct BatchRequest {
-  /// Lanes x NumArgs values, lane-major: lane L's arguments start at
-  /// LaneArgs + L * NumArgs.
-  const Value *LaneArgs = nullptr;
+  /// NumArgs parameters, in the chunk's parameter order.
+  const BatchArg *Args = nullptr;
   unsigned NumArgs = 0;
   unsigned Lanes = 0;
   /// Load-side cache base. Null when the chunk performs no cache access.
@@ -96,8 +117,12 @@ struct BatchRequest {
   const ArenaSlotAddr *CacheMap = nullptr;
   unsigned CacheBlockPixels = 1;
   unsigned CacheFirstPixel = 0;
-  /// Lanes result values, written on success.
+  /// Where results go on success; either, both or neither may be set.
+  /// Results: Lanes values. RGB: 3 floats per lane, components 0..2 of
+  /// each result's payload (zero past its width, and for int/bool/void
+  /// results) — exactly what RenderReply::fromFramebuffer copies.
   Value *Results = nullptr;
+  float *RGB = nullptr;
 };
 
 /// The interpreter. Holds the global state that the effectful builtins
@@ -131,8 +156,10 @@ public:
                          CacheView View = CacheView());
 
   /// Fast tier 2: executes one instruction stream over a whole tile of
-  /// lanes — one fetch/dispatch per instruction, a strided SoA inner
-  /// loop per lane. \p C must be Valid and BatchSafe (effect-free).
+  /// lanes — one fetch/dispatch per instruction, a unit-stride loop over
+  /// typed f32/i32 lane columns per operation, with the operand kinds
+  /// ExecChunk::StackKinds fixed statically. \p C must be Valid and
+  /// BatchSafe (effect-free and statically kinded).
   ///
   /// Control flow runs GPU-warp style. Branch conditions are evaluated
   /// over the *active* lanes only; a uniform outcome takes the jump (or
@@ -178,10 +205,11 @@ private:
   /// allocate (runs are not reentrant).
   std::vector<Value> LocalsScratch;
   std::vector<Value> StackScratch;
-  /// SoA frame scratch for runBatch (slot-major: slot s, lane l lives at
-  /// index s * Lanes + l), likewise reused across tiles.
-  std::vector<Value> BatchLocals;
-  std::vector<Value> BatchStack;
+  /// Typed SoA frame scratch for runBatch, likewise reused across tiles:
+  /// every local and stack depth is a row of four f32 columns and one
+  /// i32 column (see FastInterp.cpp).
+  std::vector<float> BatchF;
+  std::vector<int32_t> BatchI;
 
   /// Divergence scratch for runBatch: one mask frame per nested divergent
   /// diamond. Active holds the current arm's lane mask (1 = active),

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "engine/CacheArena.h"
 #include "specialize/CacheLayout.h"
 #include "vm/CacheView.h"
 #include "vm/VM.h"
@@ -211,6 +212,55 @@ TEST(CacheViewVM, BoxedSlotPastTheLayoutTraps) {
   EXPECT_NE(R.TrapMessage.find("past the layout"), std::string::npos)
       << R.TrapMessage;
   EXPECT_EQ(Boxed.size(), 2u);
+}
+
+TEST(CacheArenaRestore, AdoptedDirectMappedBufferRoundTrips) {
+  // A warm start moves the snapshot's canonical ArenaBuffer into the
+  // arena without a copy. Past kDirectMapBytes that buffer is a private
+  // mapping; it must survive the move and come back out of
+  // canonicalBytes() unchanged, and re-blocking into another layout must
+  // read it intact.
+  CacheLayout Layout;
+  Layout.addSlot(Type(TypeKind::TK_Float));
+  Layout.addSlot(Type(TypeKind::TK_Vec3));
+  Layout.addSlot(Type(TypeKind::TK_Int));
+  const unsigned Pixels =
+      static_cast<unsigned>(kDirectMapBytes / Layout.totalBytes()) + 97;
+
+  CacheArena Source(Pixels, Layout);
+  for (unsigned P = 0; P < Pixels; ++P) {
+    CacheView View = Source.view(P);
+    const float F = static_cast<float>(P) * 0.5f - 3.0f;
+    View.store(Layout.slot(0).Offset, Value::makeFloat(F));
+    View.store(Layout.slot(1).Offset, Value::makeVec3(F, -F, 1.0f / (F + 0.25f)));
+    View.store(Layout.slot(2).Offset, Value::makeInt(static_cast<int>(P) - 7));
+  }
+  ArenaBuffer Canon = Source.canonicalBytes();
+  ASSERT_GE(Canon.size(), kDirectMapBytes);
+  const ArenaBuffer Expected = Canon;
+  const unsigned char *Adopted = Canon.data();
+
+  CacheArena Warm;
+  ASSERT_TRUE(Warm.restore(Pixels, Layout, std::move(Canon)));
+  EXPECT_EQ(Warm.raw(), Adopted) << "identity restore must adopt the buffer";
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Warm.raw()) % kArenaAlignBytes, 0u);
+  EXPECT_TRUE(Warm.canonicalBytes() == Expected);
+  for (unsigned P : {0u, Pixels / 2, Pixels - 1})
+    for (size_t S = 0; S < Layout.slotCount(); ++S)
+      EXPECT_TRUE(bitIdentical(Warm.decode(P)[S], Source.decode(P)[S]))
+          << "pixel " << P << " slot " << S;
+
+  ArenaBuffer Again = Expected;
+  CacheArena Blocked;
+  ASSERT_TRUE(Blocked.restore(Pixels, Layout, std::move(Again),
+                              ArenaLayoutConfig{ArenaLayout::SlotMajor}));
+  EXPECT_TRUE(Blocked.canonicalBytes() == Expected);
+
+  // A payload of the wrong size is refused, leaving the arena empty.
+  ArenaBuffer Short(Expected.begin(), Expected.end() - 1);
+  CacheArena Bad;
+  EXPECT_FALSE(Bad.restore(Pixels, Layout, std::move(Short)));
+  EXPECT_EQ(Bad.pixelCount(), 0u);
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 
 #include "driver/Pipeline.h"
 #include "engine/RenderEngine.h"
+#include "specialize/CacheLayout.h"
 #include "vm/ExecChunk.h"
 #include "vm/VM.h"
 
@@ -74,17 +75,27 @@ TileRun runTile(VM &Machine, const ExecChunk &Exec,
   const unsigned Lanes = static_cast<unsigned>(LaneArgs.size());
   const unsigned NumArgs =
       Lanes ? static_cast<unsigned>(LaneArgs[0].size()) : 0;
-  std::vector<Value> Flat;
-  Flat.reserve(static_cast<size_t>(Lanes) * NumArgs);
-  for (const auto &Args : LaneArgs) {
-    EXPECT_EQ(Args.size(), NumArgs);
-    for (const Value &V : Args)
-      Flat.push_back(V);
+  // One column set per parameter: every lane's component C (or int).
+  std::vector<std::vector<float>> Floats(NumArgs * 4u);
+  std::vector<std::vector<int32_t>> Ints(NumArgs);
+  std::vector<BatchArg> Args(NumArgs);
+  for (unsigned A = 0; A < NumArgs; ++A) {
+    Args[A].Kind = LaneArgs[0][A].Kind;
+    for (const auto &Lane : LaneArgs) {
+      EXPECT_EQ(Lane.size(), NumArgs);
+      EXPECT_EQ(Lane[A].Kind, Args[A].Kind) << "lane kinds must be uniform";
+      Ints[A].push_back(Lane[A].I);
+      for (unsigned C = 0; C < 4; ++C)
+        Floats[A * 4 + C].push_back(Lane[A].F[C]);
+    }
+    Args[A].Ints = Ints[A].data();
+    for (unsigned C = 0; C < 4; ++C)
+      Args[A].Cols[C] = Floats[A * 4 + C].data();
   }
   TileRun Out;
   Out.Results.assign(Lanes, Value::makeInt(-777001));
   BatchRequest Req;
-  Req.LaneArgs = Flat.data();
+  Req.Args = Args.data();
   Req.NumArgs = NumArgs;
   Req.Lanes = Lanes;
   Req.Results = Out.Results.data();
@@ -545,6 +556,202 @@ vec3 trapif(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
             << Threads << "t";
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Static lane kinds: chunks whose kinds are not a function of the
+// instruction index run per-pixel, bit-identical to the switch tier
+//===----------------------------------------------------------------------===//
+
+/// A hand-built renderable chunk: the four pixel parameters, local 4 =
+/// (uv.x < 0.5) — a bool that varies across every tile — then \p Body,
+/// whose jump targets count from the body's first instruction.
+/// Constant 0 is 0.5f; \p Constants append after it.
+Chunk pixelChunk(const std::string &Name, std::vector<Value> Constants,
+                 std::vector<Instr> Body) {
+  constexpr int32_t Prologue = 5;
+  Chunk Code;
+  Code.Name = Name;
+  Code.ReturnType = Type(TypeKind::TK_Vec3);
+  Code.NumParams = 4;
+  Code.LocalTypes = {TypeKind::TK_Vec2, TypeKind::TK_Vec3, TypeKind::TK_Vec3,
+                     TypeKind::TK_Vec3, TypeKind::TK_Bool};
+  Code.Constants = {Value::makeFloat(0.5f)};
+  for (const Value &V : Constants)
+    Code.Constants.push_back(V);
+  Code.Code = {{OpCode::OC_LoadLocal, 0, 0, 0},
+               {OpCode::OC_Member, 0, 0, 0},
+               {OpCode::OC_Const, 0, 0, 0},
+               {OpCode::OC_Lt, 0, 0, 0},
+               {OpCode::OC_StoreLocal, 4, 0, 0}};
+  for (Instr In : Body) {
+    if (In.Op == OpCode::OC_Jump || In.Op == OpCode::OC_JumpIfFalse)
+      In.A += Prologue;
+    Code.Code.push_back(In);
+  }
+  return Code;
+}
+
+/// Renders \p Code with no controls under every tier at 1 and 4 threads
+/// over a grid whose pixel count is not a multiple of the tile, and
+/// requires frames (or trap messages) bit-identical to the switch tier.
+void expectTiersAgree(const Chunk &Code) {
+  const unsigned W = 37, H = 23;
+  RenderGrid Grid(W, H);
+  RenderEngine Ref(1);
+  Ref.setExecTier(ExecTier::Switch);
+  Framebuffer RefImage(W, H);
+  const bool RefOk = Ref.plainPass(Code, Grid, {}, &RefImage);
+  for (ExecTier Tier : kTiers) {
+    for (unsigned Threads : {1u, 4u}) {
+      RenderEngine Engine(Threads);
+      Engine.setExecTier(Tier);
+      Framebuffer Out(W, H);
+      const std::string Tag = Code.Name + " [" + execTierName(Tier) + " @" +
+                              std::to_string(Threads) + "t]";
+      ASSERT_EQ(Engine.plainPass(Code, Grid, {}, &Out), RefOk) << Tag;
+      if (RefOk) {
+        expectSameImage(RefImage, Out, Tag);
+      } else {
+        EXPECT_EQ(Engine.lastTrap(), Ref.lastTrap()) << Tag;
+      }
+      if (Tier == ExecTier::Batched) {
+        EXPECT_EQ(Engine.lastPassStats().BatchTiles, 0u)
+            << Tag << ": a dynamically kinded chunk must not batch";
+      }
+    }
+  }
+}
+
+TEST(StaticKinds, SelectArmsOfDifferentKindsRunPerPixel) {
+  // b ? 1.0 : vec3(10, 20, 30), plus 0.5: lanes with b false must get
+  // vec3(10.5, 20.5, 30.5), not a sum computed with lane 0's kinds.
+  Chunk Code = pixelChunk(
+      "selectkinds",
+      {Value::makeFloat(1.0f), Value::makeVec3(10.0f, 20.0f, 30.0f)},
+      {{OpCode::OC_LoadLocal, 4, 0, 0},
+       {OpCode::OC_Const, 1, 0, 0},
+       {OpCode::OC_Const, 2, 0, 0},
+       {OpCode::OC_Select, 0, 0, 0},
+       {OpCode::OC_Const, 0, 0, 0},
+       {OpCode::OC_Add, 0, 0, 0},
+       {OpCode::OC_Return, 0, 0, 0}});
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  EXPECT_FALSE(Exec.BatchSafe);
+  EXPECT_TRUE(Exec.StackKinds.empty());
+
+  VM Machine;
+  auto False = Machine.run(Code, {Value::makeVec2(0.75f, 0.0f),
+                                  Value::makeVec3(0, 0, 0),
+                                  Value::makeVec3(0, 0, 0),
+                                  Value::makeVec3(0, 0, 0)});
+  ASSERT_TRUE(False.ok()) << False.TrapMessage;
+  EXPECT_TRUE(bitIdentical(False.Result, Value::makeVec3(10.5f, 20.5f, 30.5f)))
+      << False.Result.str();
+  expectTiersAgree(Code);
+}
+
+TEST(StaticKinds, JoinOfDifferentKindsRunsPerPixel) {
+  // if (b) push 1.0 else push vec3(...); then + 0.5: the join point sees
+  // a float on one path and a vec3 on the other at the same depth.
+  Chunk Code = pixelChunk(
+      "joinkinds",
+      {Value::makeFloat(1.0f), Value::makeVec3(10.0f, 20.0f, 30.0f)},
+      {{OpCode::OC_LoadLocal, 4, 0, 0},
+       {OpCode::OC_JumpIfFalse, 4, 0, 0},
+       {OpCode::OC_Const, 1, 0, 0},
+       {OpCode::OC_Jump, 5, 0, 0},
+       {OpCode::OC_Const, 2, 0, 0},
+       {OpCode::OC_Const, 0, 0, 0},
+       {OpCode::OC_Add, 0, 0, 0},
+       {OpCode::OC_Return, 0, 0, 0}});
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  EXPECT_FALSE(Exec.BatchSafe);
+  expectTiersAgree(Code);
+}
+
+TEST(StaticKinds, MemberPastVectorWidthRunsPerPixel) {
+  // uv.z and P.w read a Value's zero padding on the scalar tiers; a
+  // column past the width would hold stale data.
+  Chunk Code = pixelChunk("memberpast", {},
+                          {{OpCode::OC_LoadLocal, 0, 0, 0},
+                           {OpCode::OC_Member, 2, 0, 0},
+                           {OpCode::OC_LoadLocal, 1, 0, 0},
+                           {OpCode::OC_Member, 3, 0, 0},
+                           {OpCode::OC_Add, 0, 0, 0},
+                           {OpCode::OC_Return, 0, 0, 0}});
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  EXPECT_FALSE(Exec.BatchSafe);
+  expectTiersAgree(Code);
+
+  // The same shape inside the width stays batched.
+  Code.Code[6].A = 1;
+  Code.Code[8].A = 2;
+  EXPECT_TRUE(buildExecChunk(Code).BatchSafe);
+}
+
+TEST(StaticKinds, CacheStoreOfDifferentKindRunsPerPixel) {
+  // A loader storing a float into a vec3 slot: the switch tier traps
+  // "cache store type mismatch", and so must every tier.
+  CacheLayout Layout;
+  Layout.addSlot(Type(TypeKind::TK_Vec3));
+  Chunk Code = pixelChunk("storekind", {},
+                          {{OpCode::OC_LoadLocal, 0, 0, 0},
+                           {OpCode::OC_Member, 0, 0, 0},
+                           {OpCode::OC_CacheStore, 0, 0,
+                            static_cast<int32_t>(TypeKind::TK_Vec3)},
+                           {OpCode::OC_Return, 0, 0, 0}});
+  Code.CacheSlotCount = 1;
+  Code.CacheBytes = Layout.totalBytes();
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  EXPECT_FALSE(Exec.BatchSafe);
+
+  RenderGrid Grid(37, 23);
+  std::string RefTrap;
+  for (ExecTier Tier : kTiers) {
+    for (unsigned Threads : {1u, 4u}) {
+      RenderEngine Engine(Threads);
+      Engine.setExecTier(Tier);
+      CacheArena Arena;
+      EXPECT_FALSE(Engine.loaderPass(Code, Layout, Grid, {}, Arena))
+          << execTierName(Tier);
+      EXPECT_NE(Engine.lastTrap().find("cache store type mismatch"),
+                std::string::npos)
+          << Engine.lastTrap();
+      if (RefTrap.empty())
+        RefTrap = Engine.lastTrap();
+      EXPECT_EQ(Engine.lastTrap(), RefTrap)
+          << execTierName(Tier) << " @" << Threads << "t";
+    }
+  }
+
+  // Storing the slot's own kind batches.
+  Code.Code[5] = {OpCode::OC_LoadLocal, 1, 0, 0};
+  Code.Code.erase(Code.Code.begin() + 6);
+  EXPECT_TRUE(buildExecChunk(Code).BatchSafe);
+}
+
+TEST(StaticKinds, CompiledChunksCarryEntryKinds) {
+  Chunk Code = compileOne("vec3 f(vec3 p, float s, int n) {\n"
+                          "  vec3 q = p * s;\n"
+                          "  if (n > 2) { q = q + vec3(1.0); }\n"
+                          "  return q;\n"
+                          "}",
+                          "f");
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  ASSERT_TRUE(Exec.BatchSafe);
+  ASSERT_EQ(Exec.StackKinds.size(), Exec.Code.size() * Exec.MaxStack);
+  // The Return sees one vec3 on the stack.
+  size_t Ret = 0;
+  while (Ret < Exec.Code.size() && Exec.Code[Ret].Op != FusedOp::F_Return)
+    ++Ret;
+  ASSERT_LT(Ret, Exec.Code.size());
+  EXPECT_EQ(Exec.entryKinds(Ret)[0], TypeKind::TK_Vec3);
 }
 
 } // namespace

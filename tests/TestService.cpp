@@ -344,6 +344,82 @@ TEST(Service, CacheHitsStayBitIdenticalAcrossVaryingValues) {
   EXPECT_EQ(Stats.Cache.Hits, 3u);
 }
 
+/// The reply form of a switch-tier plain render: what a hit's payload
+/// must equal bit for bit.
+std::vector<float> switchPlainPixels(const ShaderInfo &Info, unsigned Width,
+                                     unsigned Height,
+                                     const std::vector<float> &Controls) {
+  auto Unit = parseUnit(Info.Source);
+  EXPECT_TRUE(Unit->ok()) << Unit->Diags.str();
+  auto Plain = compileFunction(*Unit, Info.Name);
+  EXPECT_TRUE(Plain.has_value()) << Unit->Diags.str();
+  RenderGrid Grid(Width, Height);
+  RenderEngine Engine(1);
+  Engine.setExecTier(ExecTier::Switch);
+  Framebuffer Out(Width, Height);
+  EXPECT_TRUE(Engine.plainPass(*Plain, Grid, Controls, &Out))
+      << Engine.lastTrap();
+  return RenderReply::fromFramebuffer(Out).Pixels;
+}
+
+::testing::AssertionResult sameBits(const std::vector<float> &A,
+                                    const std::vector<float> &B) {
+  if (A.size() != B.size())
+    return ::testing::AssertionFailure()
+           << A.size() << " vs " << B.size() << " floats";
+  for (size_t I = 0; I < A.size(); ++I)
+    if (std::memcmp(&A[I], &B[I], sizeof(float)) != 0)
+      return ::testing::AssertionFailure()
+             << "float " << I << " (pixel " << I / 3 << ") differs";
+  return ::testing::AssertionSuccess();
+}
+
+/// Renders every gallery shader twice through \p Service (a miss, then a
+/// hit with the first control dragged) at a size that leaves a partial
+/// last tile, and requires both payloads to equal the switch tier.
+void expectRepliesMatchSwitch(SpecializationService &Service) {
+  const unsigned W = 37, H = 23;
+  for (const ShaderInfo &Info : shaderGallery()) {
+    RenderRequest Request;
+    Request.Shader = Info.Name;
+    Request.Width = W;
+    Request.Height = H;
+    Request.Controls = ShaderLab::defaultControls(Info);
+    for (bool Hit : {false, true}) {
+      if (Hit)
+        Request.Controls[0] = Info.Controls[0].SweepMax;
+      RenderReply Reply = Service.render(Request);
+      ASSERT_TRUE(Reply.ok()) << Info.Name << ": " << Reply.Error;
+      EXPECT_EQ(Reply.CacheHit, Hit) << Info.Name;
+      EXPECT_EQ(Reply.Width, W);
+      EXPECT_EQ(Reply.Height, H);
+      EXPECT_TRUE(sameBits(Reply.Pixels,
+                           switchPlainPixels(Info, W, H, Request.Controls)))
+          << Info.Name << (Hit ? " hit" : " miss");
+    }
+  }
+}
+
+TEST(Service, HitPayloadEqualsSwitchPlainRenderBitForBit) {
+  // The reader writes the reply's RGB floats directly, on every core.
+  ServiceConfig Config;
+  Config.RenderThreads = 4;
+  SpecializationService Service(Config);
+  expectRepliesMatchSwitch(Service);
+}
+
+TEST(Service, PerPixelReaderWritesTheSamePayload) {
+  // Blocks of 96 pixels never align with 128-pixel tiles, so no tile can
+  // run batched: every pixel takes the per-pixel path and writes its own
+  // three floats into the payload.
+  ServiceConfig Config;
+  Config.RenderThreads = 4;
+  Config.ArenaLayout.Layout = ArenaLayout::TileBlocked;
+  Config.ArenaLayout.TilePixels = 96;
+  SpecializationService Service(Config);
+  expectRepliesMatchSwitch(Service);
+}
+
 TEST(Service, ShedsWhenQueueIsFull) {
   ServiceConfig Config;
   Config.QueueCapacity = 1;
@@ -379,11 +455,12 @@ TEST(Service, ShedsQueuedRequestsPastTheirDeadline) {
   Config.Dispatchers = 1;
   SpecializationService Service(Config);
 
-  // Occupy the single dispatcher with an expensive cold build...
+  // Occupy the single dispatcher with an expensive cold build (sized to
+  // outlast the sleep below by a wide margin on a fast host)...
   RenderRequest Blocker;
   Blocker.Shader = "rings";
-  Blocker.Width = 128;
-  Blocker.Height = 128;
+  Blocker.Width = 512;
+  Blocker.Height = 512;
   std::future<RenderReply> BlockerDone = Service.submit(Blocker);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
 

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/AlignedBuffer.h"
 #include "support/Arena.h"
 #include "support/Casting.h"
 #include "support/Crc32.h"
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -204,6 +206,48 @@ TEST(Crc32, SeedChainsAcrossEverySplit) {
     EXPECT_EQ(crc32(Bytes.data() + Split, Bytes.size() - Split, A), Whole)
         << "split at " << Split;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// AlignedAllocator: heap below kDirectMapBytes, mmap at and above it
+//===----------------------------------------------------------------------===//
+
+TEST(AlignedBuffer, AlignedAndZeroedAroundTheDirectMapThreshold) {
+  for (size_t Size : {kDirectMapBytes - 64, kDirectMapBytes,
+                      kDirectMapBytes + 1}) {
+    ArenaBuffer Buffer(Size);
+    ASSERT_EQ(Buffer.size(), Size);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(Buffer.data()) % kArenaAlignBytes,
+              0u)
+        << Size;
+    EXPECT_TRUE(std::all_of(Buffer.begin(), Buffer.end(),
+                            [](unsigned char B) { return B == 0; }))
+        << Size;
+    // The whole extent is writable, and a copy (a second allocation of
+    // the same size class) carries the bytes over.
+    Buffer.front() = 0x5a;
+    Buffer.back() = 0xa5;
+    ArenaBuffer Copy = Buffer;
+    EXPECT_EQ(Copy.front(), 0x5a);
+    EXPECT_EQ(Copy.back(), 0xa5);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(Copy.data()) % kArenaAlignBytes,
+              0u);
+  }
+}
+
+TEST(AlignedBuffer, GrowsAcrossTheDirectMapThreshold) {
+  // Reallocation moves the bytes from a heap block into a mapping and
+  // releases the heap block; shrinking back releases the mapping.
+  ArenaBuffer Buffer(1000, 7);
+  Buffer.resize(kDirectMapBytes + 4096, 9);
+  EXPECT_EQ(Buffer[999], 7);
+  EXPECT_EQ(Buffer[1000], 9);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(Buffer.data()) % kArenaAlignBytes,
+            0u);
+  Buffer.resize(10);
+  Buffer.shrink_to_fit();
+  EXPECT_EQ(Buffer.size(), 10u);
+  EXPECT_EQ(Buffer[9], 7);
 }
 
 TEST(SourceLoc, Validity) {

@@ -983,7 +983,8 @@ int main(int Argc, char **Argv) {
     if (Exec.Valid) {
       const char *TierName =
           !Exec.BatchSafe
-              ? "effectful, per-pixel tier"
+              ? (Exec.HasEffects ? "effectful, per-pixel tier"
+                                 : "dynamically kinded, per-pixel tier")
               : (Exec.UnmaskableBranches
                      ? "batched tier, bails on divergent loops"
                      : "batched tier");
