@@ -26,14 +26,18 @@
 /// the batched tier — the average active-lane fraction per dispatched
 /// instruction (the divergence column) into BENCH_exec.json. The smoke
 /// gate in CI reads native_beats_threaded_wins from the config block.
+/// The google-benchmark section also times one noise(vec3) lane by lane
+/// and in 128-lane tiles (BM_Noise3).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "vm/Noise.h"
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 using namespace dspec;
 using namespace dspec::bench;
@@ -198,6 +202,35 @@ BENCHMARK(BM_ReaderFrameTier)
     ->Arg(2)
     ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
+
+// Cost of one noise(vec3): Arg 0 calls perlinNoise3 lane by lane, as the
+// per-pixel tiers do; Arg 1 runs perlinNoise3Lanes over 128-lane tiles,
+// as the batched tier does. Inputs span many lattice cells of both signs.
+void BM_Noise3(benchmark::State &State) {
+  const unsigned Tile = 128, Tiles = 64;
+  std::vector<float> X(Tile * Tiles), Y(X.size()), Z(X.size()), Out(X.size());
+  for (size_t I = 0; I < X.size(); ++I) {
+    X[I] = static_cast<float>(I % 97) * 0.731f - 35.0f;
+    Y[I] = static_cast<float>(I % 89) * -0.517f + 20.0f;
+    Z[I] = static_cast<float>(I % 83) * 0.293f - 11.0f;
+  }
+  const bool Lanes = State.range(0) == 1;
+  for (auto _ : State) {
+    if (Lanes) {
+      Out = X;
+      for (size_t I = 0; I < Out.size(); I += Tile)
+        perlinNoise3Lanes(&Out[I], &Y[I], &Z[I], Tile);
+    } else {
+      for (size_t I = 0; I < Out.size(); ++I)
+        Out[I] = perlinNoise3(X[I], Y[I], Z[I]);
+    }
+    benchmark::DoNotOptimize(Out.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(State.iterations() * Out.size());
+  State.SetLabel(Lanes ? "lanes" : "scalar");
+}
+BENCHMARK(BM_Noise3)->Arg(0)->Arg(1);
 
 } // namespace
 

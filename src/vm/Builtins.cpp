@@ -132,7 +132,7 @@ Value callBuiltinImpl(uint16_t Id, const Value *A, VM &Machine) {
   case BuiltinId::BI_ModF:
     return Value::makeFloat(std::fmod(A[0].asFloat(), A[1].asFloat()));
   case BuiltinId::BI_ToInt:
-    return Value::makeInt(static_cast<int32_t>(A[0].asFloat()));
+    return Value::makeInt(interp::toInt32(A[0].asFloat()));
   case BuiltinId::BI_ToFloat:
     return Value::makeFloat(static_cast<float>(A[0].I));
   case BuiltinId::BI_Vec2:

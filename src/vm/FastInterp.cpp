@@ -939,13 +939,9 @@ bool builtinRows(const Frame &Fr, BuiltinId Id, unsigned Row,
     }
     return true;
   }
-  case BuiltinId::BI_Noise3: {
-    float *X = Fr.f(Row, 0);
-    const float *Y = Fr.f(Row, 1), *Z = Fr.f(Row, 2);
-    for (unsigned L = 0; L < Fr.Lanes; ++L)
-      X[L] = perlinNoise3(X[L], Y[L], Z[L]);
+  case BuiltinId::BI_Noise3:
+    perlinNoise3Lanes(Fr.f(Row, 0), Fr.f(Row, 1), Fr.f(Row, 2), Fr.Lanes);
     return true;
-  }
   default:
     return false;
   }

@@ -19,6 +19,8 @@
 
 #include "vm/Value.h"
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 namespace dspec {
@@ -152,6 +154,22 @@ inline float maxF(float X, float Y) {
   if (Y != Y)
     return X;
   return X < Y ? Y : X;
+}
+
+/// float -> int32 rounding toward zero, as the toInt builtin and the
+/// noise kernel's lattice index convert. NaN, +-inf and everything outside
+/// [-2^31, 2^31) give INT32_MIN, the value x86's cvttss2si returns for
+/// them; the cast sees 0 in their place, so it is always defined. The
+/// selects are whole-word masks: a ?: lets the compiler move the cast
+/// under a branch, and the noise kernel's lane loop would no longer
+/// vectorize.
+inline int32_t toInt32(float X) {
+  const uint32_t InRange =
+      0u - static_cast<uint32_t>((X >= -0x1p31f) & (X < 0x1p31f));
+  const int32_t I = static_cast<int32_t>(
+      std::bit_cast<float>(std::bit_cast<uint32_t>(X) & InRange));
+  return static_cast<int32_t>(static_cast<uint32_t>(I) |
+                              (0x80000000u & ~InRange));
 }
 
 /// Branch-condition truth of the fused compare+JumpIfFalse pairs, shared

@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "vm/Noise.h"
+#include "vm/InterpOps.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -53,47 +55,119 @@ const uint8_t Perm[512] = {
     222, 114, 67,  29,  24,  72,  243, 141, 128, 195, 78,  66,  215, 61,  156,
     180};
 
+/// Lanes per block. The float phases loop over a constant trip count, so
+/// the compiler vectorizes them with the baseline ISA.
+constexpr unsigned BlockLanes = 32;
+
 inline float fade(float T) { return T * T * T * (T * (T * 6 - 15) + 10); }
 
 inline float lerp(float T, float A, float B) { return A + T * (B - A); }
 
-inline float grad(int Hash, float X, float Y, float Z) {
-  int H = Hash & 15;
-  float U = H < 8 ? X : Y;
-  float V = H < 4 ? Y : (H == 12 || H == 14 ? X : Z);
-  return ((H & 1) == 0 ? U : -U) + ((H & 2) == 0 ? V : -V);
+/// std::floor bit for bit, without a call or a branch: truncate, then step
+/// down where truncation rounded up. The truncation keeps the sign, so
+/// floor(-0.0) stays -0.0 and X - floor(X) is +0.0. From 2^23 up every
+/// float is an integer, so X itself is returned there, and for +-inf and
+/// NaN; the cast sees 0 in their place. As in interp::toInt32, the
+/// selects are whole-word masks so that the lane loop vectorizes.
+inline float floorLane(float X) {
+  const uint32_t XB = std::bit_cast<uint32_t>(X);
+  const uint32_t Small = 0u - static_cast<uint32_t>(std::fabs(X) < 0x1p23f);
+  const float S = std::bit_cast<float>(XB & Small);
+  const float T =
+      std::copysign(static_cast<float>(static_cast<int32_t>(S)), S);
+  const uint32_t Step = 0x3f800000u & (0u - static_cast<uint32_t>(T > S));
+  const float F = T - std::bit_cast<float>(Step);
+  return std::bit_cast<float>((std::bit_cast<uint32_t>(F) & Small) |
+                              (XB & ~Small));
+}
+
+/// The reference gradient: with H = Hash & 15, U is X for H < 8 and Y
+/// otherwise; V is Y for H < 4, X for H 12 and 14, Z otherwise; bits 0
+/// and 1 of H negate U and V. The choices are whole-word masks and the
+/// negations flips of the sign bit, so the result is bit for bit that of
+/// the branching form.
+inline float grad(uint32_t Hash, float X, float Y, float Z) {
+  const uint32_t H = Hash & 15;
+  const uint32_t XB = std::bit_cast<uint32_t>(X);
+  const uint32_t YB = std::bit_cast<uint32_t>(Y);
+  const uint32_t ZB = std::bit_cast<uint32_t>(Z);
+  const uint32_t UIsX = 0u - static_cast<uint32_t>(H < 8);
+  const uint32_t VIsY = 0u - static_cast<uint32_t>(H < 4);
+  const uint32_t VIsX = 0u - static_cast<uint32_t>((H & 13) == 12);
+  const uint32_t U = (XB & UIsX) | (YB & ~UIsX);
+  const uint32_t V = (YB & VIsY) | (~VIsY & ((XB & VIsX) | (ZB & ~VIsX)));
+  return std::bit_cast<float>(U ^ ((H & 1) << 31)) +
+         std::bit_cast<float>(V ^ ((H & 2) << 30));
+}
+
+/// Noise of \p Lanes lanes in three straight-line phases: lattice cells
+/// and fractions, the 14 permutation lookups per lane (scalar loads), then
+/// 8 gradients and 7 lerps per lane. Reads Y and Z, and X before it
+/// writes X.
+template <unsigned Lanes>
+void noiseBlock(float *X, const float *Y, const float *Z) {
+  float FX[Lanes], FY[Lanes], FZ[Lanes];
+  int32_t IX[Lanes], IY[Lanes], IZ[Lanes];
+  for (unsigned L = 0; L < Lanes; ++L) {
+    const float X0 = floorLane(X[L]), Y0 = floorLane(Y[L]),
+                Z0 = floorLane(Z[L]);
+    IX[L] = interp::toInt32(X0) & 255;
+    IY[L] = interp::toInt32(Y0) & 255;
+    IZ[L] = interp::toInt32(Z0) & 255;
+    FX[L] = X[L] - X0;
+    FY[L] = Y[L] - Y0;
+    FZ[L] = Z[L] - Z0;
+  }
+
+  // The hashes of the cell's 8 corners, in the order the lerps take them.
+  uint32_t Hash[8][Lanes];
+  for (unsigned L = 0; L < Lanes; ++L) {
+    const int A = Perm[IX[L]] + IY[L];
+    const int B = Perm[IX[L] + 1] + IY[L];
+    const int AA = Perm[A] + IZ[L], AB = Perm[A + 1] + IZ[L];
+    const int BA = Perm[B] + IZ[L], BB = Perm[B + 1] + IZ[L];
+    Hash[0][L] = Perm[AA];
+    Hash[1][L] = Perm[BA];
+    Hash[2][L] = Perm[AB];
+    Hash[3][L] = Perm[BB];
+    Hash[4][L] = Perm[AA + 1];
+    Hash[5][L] = Perm[BA + 1];
+    Hash[6][L] = Perm[AB + 1];
+    Hash[7][L] = Perm[BB + 1];
+  }
+
+  for (unsigned L = 0; L < Lanes; ++L) {
+    const float PX = FX[L], PY = FY[L], PZ = FZ[L];
+    const float U = fade(PX), V = fade(PY), W = fade(PZ);
+    X[L] = lerp(
+        W,
+        lerp(V,
+             lerp(U, grad(Hash[0][L], PX, PY, PZ),
+                  grad(Hash[1][L], PX - 1, PY, PZ)),
+             lerp(U, grad(Hash[2][L], PX, PY - 1, PZ),
+                  grad(Hash[3][L], PX - 1, PY - 1, PZ))),
+        lerp(V,
+             lerp(U, grad(Hash[4][L], PX, PY, PZ - 1),
+                  grad(Hash[5][L], PX - 1, PY, PZ - 1)),
+             lerp(U, grad(Hash[6][L], PX, PY - 1, PZ - 1),
+                  grad(Hash[7][L], PX - 1, PY - 1, PZ - 1))));
+  }
 }
 
 } // namespace
 
+void dspec::perlinNoise3Lanes(float *X, const float *Y, const float *Z,
+                              unsigned N) {
+  unsigned L = 0;
+  for (; L + BlockLanes <= N; L += BlockLanes)
+    noiseBlock<BlockLanes>(X + L, Y + L, Z + L);
+  for (; L < N; ++L)
+    noiseBlock<1>(X + L, Y + L, Z + L);
+}
+
 float dspec::perlinNoise3(float X, float Y, float Z) {
-  int XI = static_cast<int>(std::floor(X)) & 255;
-  int YI = static_cast<int>(std::floor(Y)) & 255;
-  int ZI = static_cast<int>(std::floor(Z)) & 255;
-  X -= std::floor(X);
-  Y -= std::floor(Y);
-  Z -= std::floor(Z);
-  float U = fade(X);
-  float V = fade(Y);
-  float W = fade(Z);
-
-  int A = Perm[XI] + YI;
-  int AA = Perm[A] + ZI;
-  int AB = Perm[A + 1] + ZI;
-  int B = Perm[XI + 1] + YI;
-  int BA = Perm[B] + ZI;
-  int BB = Perm[B + 1] + ZI;
-
-  return lerp(
-      W,
-      lerp(V, lerp(U, grad(Perm[AA], X, Y, Z), grad(Perm[BA], X - 1, Y, Z)),
-           lerp(U, grad(Perm[AB], X, Y - 1, Z),
-                grad(Perm[BB], X - 1, Y - 1, Z))),
-      lerp(V,
-           lerp(U, grad(Perm[AA + 1], X, Y, Z - 1),
-                grad(Perm[BA + 1], X - 1, Y, Z - 1)),
-           lerp(U, grad(Perm[AB + 1], X, Y - 1, Z - 1),
-                grad(Perm[BB + 1], X - 1, Y - 1, Z - 1))));
+  noiseBlock<1>(&X, &Y, &Z);
+  return X;
 }
 
 float dspec::fbm3(float X, float Y, float Z, int Octaves, float Lacunarity,

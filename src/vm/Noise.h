@@ -17,8 +17,28 @@
 
 namespace dspec {
 
-/// 3-D gradient noise in roughly [-1, 1].
+/// 3-D gradient noise in roughly [-1, 1]: the one-lane case of
+/// perlinNoise3Lanes, so every tier and every caller computes noise with
+/// the same operations.
+///
+/// Every input has a defined result. The lattice cell is floor() of each
+/// coordinate, converted to int and taken mod 256; a coordinate that is
+/// NaN, +-inf or at least 2^31 in magnitude gets cell 0 (INT32_MIN mod
+/// 256, what x86 conversions give). The fraction is X - floor(X): +0.0 on
+/// lattice points including -0.0, 0 from 2^23 up where every float is an
+/// integer, NaN for +-inf and NaN, and then the result is NaN.
+///
+/// The results are pinned bit for bit (Noise.MatchesSeedValues), so the
+/// kernel must be compiled without floating-point contraction: an FMA for
+/// fade's or lerp's a * b + c rounds once instead of twice and changes the
+/// noise. The project builds for the baseline ISA, which has no FMA; do not
+/// add -mfma, -march=native or target attributes to this file.
 float perlinNoise3(float X, float Y, float Z);
+
+/// X[i] = perlinNoise3(X[i], Y[i], Z[i]) for i < \p N, bit for bit. Runs
+/// blocks of 32 lanes through vectorized straight-line code and the rest
+/// one lane at a time. X is read and written in place.
+void perlinNoise3Lanes(float *X, const float *Y, const float *Z, unsigned N);
 
 /// 1-D convenience wrapper.
 inline float perlinNoise1(float X) { return perlinNoise3(X, 0.37f, 0.73f); }

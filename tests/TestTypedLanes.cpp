@@ -311,6 +311,50 @@ TEST(TypedLanes, SpecialValuesThroughComparesAndBranches) {
   expectLanesMatchSwitch(compileOne(Source, "f"), specialLanes(), Source);
 }
 
+TEST(TypedLanes, ToIntIsDefinedForNonFiniteAndHugeInputs) {
+  // NaN, +-inf and magnitudes from 2^31 up convert to INT32_MIN on every
+  // tier; everything else truncates toward zero.
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const int32_t Min = std::numeric_limits<int32_t>::min();
+  const std::vector<std::pair<float, int32_t>> Cases = {
+      {NaN, Min},     {-NaN, Min},     {Inf, Min},
+      {-Inf, Min},    {1e10f, Min},    {-1e10f, Min},
+      {0x1p31f, Min}, {-0x1p31f, Min}, {0x1.fffffep30f, 2147483520},
+      {-2.75f, -2},   {2.75f, 2},      {-0.0f, 0}};
+  Chunk Code = compileOne("int f(float x) {\n  return toInt(x);\n}", "f");
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  ASSERT_TRUE(Exec.BatchSafe);
+  VM Machine;
+  std::vector<float> Col;
+  for (const auto &[X, Expected] : Cases) {
+    const std::string What = "toInt(" + std::to_string(X) + ")";
+    ExecResult Switch = Machine.run(Code, {Value::makeFloat(X)});
+    ASSERT_TRUE(Switch.ok()) << What << ": " << Switch.TrapMessage;
+    EXPECT_EQ(Switch.Result.asInt(), Expected) << What << " on switch";
+    ExecResult Threaded = Machine.runThreaded(Exec, {Value::makeFloat(X)});
+    ASSERT_TRUE(Threaded.ok()) << What << ": " << Threaded.TrapMessage;
+    EXPECT_EQ(Threaded.Result.asInt(), Expected) << What << " on threaded";
+    Col.push_back(X);
+  }
+  BatchArg Arg;
+  Arg.Kind = TypeKind::TK_Float;
+  Arg.Cols[0] = Col.data();
+  std::vector<Value> Results(Col.size());
+  BatchRequest Req;
+  Req.Args = &Arg;
+  Req.NumArgs = 1;
+  Req.Lanes = static_cast<unsigned>(Col.size());
+  Req.Results = Results.data();
+  ExecResult Batch = Machine.runBatch(Exec, Req);
+  ASSERT_TRUE(Batch.ok()) << Batch.TrapMessage;
+  ASSERT_FALSE(Batch.Diverged);
+  for (size_t L = 0; L < Cases.size(); ++L)
+    EXPECT_EQ(Results[L].asInt(), Cases[L].second)
+        << "toInt(" << Cases[L].first << ") on batched";
+}
+
 //===----------------------------------------------------------------------===//
 // Int division and modulo by zero under a mask
 //===----------------------------------------------------------------------===//
