@@ -100,7 +100,7 @@ struct LayoutConfigSpec {
 /// (engine/ArenaLayout.h), so the rows show what auto chose between.
 std::vector<LayoutConfigSpec> layoutConfigs(unsigned EngineTilePixels) {
   std::vector<ArenaLayoutConfig> Candidates =
-      arenaLayoutCandidates(ExecTier::Batched, EngineTilePixels);
+      arenaLayoutCandidates(EngineTilePixels);
   std::vector<LayoutConfigSpec> Out;
   Out.push_back({"pixel-major", Candidates[0], true});
   Out.push_back({"slot-major", Candidates[1], false});
@@ -257,8 +257,7 @@ void printLayoutSweep(const char *OutPath) {
       // pixel-major unless a mapped layout actually pays for its map.
       if (!Measured.empty()) {
         ArenaLayoutConfig ChosenCfg = pickArenaLayout(
-            arenaLayoutCandidates(ExecTier::Batched,
-                                  Lab.engine().tilePixels()),
+            arenaLayoutCandidates(Lab.engine().tilePixels()),
             [&](const ArenaLayoutConfig &Cfg) {
               for (const auto &[MeasuredCfg, Seconds] : Measured)
                 if (MeasuredCfg == Cfg)

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Measures the reader pass of every gallery shader under the engine's
-/// four execution tiers:
+/// three execution tiers:
 ///
 ///   switch     the classic per-pixel switch interpreter (VM::run);
 ///   threaded   per-pixel direct-threaded dispatch over the decoded,
@@ -15,17 +15,14 @@
 ///              against strided CacheArena slots; uniform branches run
 ///              in lockstep, divergent maskable diamonds run both arms
 ///              under per-lane masks, and a tile diverging at an
-///              unmaskable branch re-runs per-pixel threaded;
-///   native     the copy-and-patch template JIT (src/jit/) — stitched
-///              x86-64 code per reader chunk, cached on the chunk, or a
-///              silent fall back to threaded where unavailable.
+///              unmaskable branch re-runs per-pixel threaded.
 ///
 /// All tiers render bit-identical framebuffers (tests/TestExecTiers.cpp),
 /// so the only difference is speed. Emits one row per (shader, tier) with
 /// the p50 reader frame time, the speedup over the switch tier, and — for
 /// the batched tier — the average active-lane fraction per dispatched
 /// instruction (the divergence column) into BENCH_exec.json. The smoke
-/// gate in CI reads native_beats_threaded_wins from the config block.
+/// gate in CI reads the clouds row's speedup_vs_switch.
 /// The google-benchmark section also times one noise(vec3) lane by lane
 /// and in 128-lane tiles (BM_Noise3).
 ///
@@ -53,7 +50,7 @@ double timeSeconds(const std::function<void()> &Body) {
 }
 
 constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched, ExecTier::Native};
+                               ExecTier::Batched};
 
 struct TierRow {
   std::string Shader;
@@ -80,7 +77,7 @@ void printTierSweep(const char *OutPath) {
   const unsigned Pixels = Lab.grid().pixelCount();
 
   std::vector<TierRow> Rows;
-  unsigned BatchedWins = 0, NativeWins = 0, Shaders = 0;
+  unsigned BatchedWins = 0, Shaders = 0;
 
   for (const ShaderInfo &Info : shaderGallery()) {
     const size_t ParamIndex = 0;
@@ -102,14 +99,11 @@ void printTierSweep(const char *OutPath) {
     }
 
     ++Shaders;
-    double SwitchP50 = 0.0, ThreadedP50 = 0.0, BatchedP50 = 0.0,
-           NativeP50 = 0.0;
+    double SwitchP50 = 0.0, BatchedP50 = 0.0;
     for (ExecTier Tier : kTiers) {
       RenderEngine Engine(1);
       Engine.setExecTier(Tier);
-      // Warm-up also stitches the native code, so the timed frames below
-      // measure steady-state execution, not one-time compile latency
-      // (bench_service reports stitch time separately).
+      // One untimed frame, so the timed ones below run on warm caches.
       Spec->readFrame(Engine, Lab.grid(), Controls);
       std::vector<double> Times;
       for (unsigned F = 0; F < Frames; ++F) {
@@ -118,20 +112,10 @@ void printTierSweep(const char *OutPath) {
             [&] { Spec->readFrame(Engine, Lab.grid(), Controls); }));
       }
       double T = p50(Times);
-      switch (Tier) {
-      case ExecTier::Switch:
+      if (Tier == ExecTier::Switch)
         SwitchP50 = T;
-        break;
-      case ExecTier::Threaded:
-        ThreadedP50 = T;
-        break;
-      case ExecTier::Batched:
+      else if (Tier == ExecTier::Batched)
         BatchedP50 = T;
-        break;
-      case ExecTier::Native:
-        NativeP50 = T;
-        break;
-      }
       Rows.push_back({Info.Name, execTierName(Tier), T, Pixels / T,
                       SwitchP50 > 0.0 ? SwitchP50 / T : 1.0,
                       Tier == ExecTier::Batched
@@ -141,8 +125,6 @@ void printTierSweep(const char *OutPath) {
     if (SwitchP50 > 0.0 && BatchedP50 > 0.0 &&
         SwitchP50 / BatchedP50 >= 2.0)
       ++BatchedWins;
-    if (NativeP50 > 0.0 && NativeP50 <= ThreadedP50)
-      ++NativeWins;
   }
 
   std::printf("%u shader(s), %ux%u pixels, p50 of %u frames, 1 thread:\n\n",
@@ -156,8 +138,6 @@ void printTierSweep(const char *OutPath) {
                 R.ActiveLaneFraction * 100.0);
   std::printf("\nbatched >= 2x switch on %u of %u shader(s)\n", BatchedWins,
               Shaders);
-  std::printf("native <= threaded p50 on %u of %u shader(s)\n", NativeWins,
-              Shaders);
 
   BenchJson Json("exec_tier");
   Json.configUnsigned("width", Lab.grid().width());
@@ -165,7 +145,6 @@ void printTierSweep(const char *OutPath) {
   Json.configUnsigned("frames", Frames);
   Json.configUnsigned("threads", 1);
   Json.config("batched_2x_wins", std::to_string(BatchedWins));
-  Json.config("native_beats_threaded_wins", std::to_string(NativeWins));
   Json.configUnsigned("shaders", Shaders);
   char Row[256];
   for (const TierRow &R : Rows) {
@@ -200,7 +179,6 @@ BENCHMARK(BM_ReaderFrameTier)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
 // Cost of one noise(vec3): Arg 0 calls perlinNoise3 lane by lane, as the

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures the specialization service end to end over the loopback
-/// transport — the full client path of frame encode, CRC, dispatch,
-/// unit-cache resolution, tiled reader render, and reply decode:
+/// Measures the specialization service end to end through its event-loop
+/// front end (NetServer) on a loopback TCP socket — the full client path
+/// of frame encode, CRC, dispatch, unit-cache resolution, tiled reader
+/// render, and reply decode:
 ///
 ///   cold    first request for a key: pays parse + specialize + compile
 ///           + loader pass before the reader frame;
@@ -38,7 +39,6 @@
 
 #include "BenchUtil.h"
 
-#include "jit/Jit.h"
 #include "net/NetServer.h"
 #include "service/Protocol.h"
 #include "service/Service.h"
@@ -59,6 +59,36 @@ struct ServiceRow {
   std::string Shader;
   double ColdSeconds = 0.0; // single cold sample (one miss per key)
   std::vector<double> HitSeconds;
+};
+
+/// A service plus a NetServer on an ephemeral TCP port.
+struct TcpBenchServer {
+  explicit TcpBenchServer(const ServiceConfig &ServiceCfg,
+                          NetServerConfig NetCfg)
+      : Service(ServiceCfg) {
+    NetCfg.TcpHostPort = "127.0.0.1:0";
+    Server = std::make_unique<NetServer>(Service, std::move(NetCfg));
+    std::string Error;
+    if (!Server->start(&Error)) {
+      std::fprintf(stderr, "!! cannot start TCP server: %s\n", Error.c_str());
+      std::abort();
+    }
+  }
+  ~TcpBenchServer() {
+    Server->shutdownServer();
+    Service.drain();
+  }
+  std::unique_ptr<Transport> connect() {
+    std::string Error;
+    auto T = connectTcp("127.0.0.1", Server->boundTcpPort(), &Error);
+    if (!T) {
+      std::fprintf(stderr, "!! connect: %s\n", Error.c_str());
+      std::abort();
+    }
+    return T;
+  }
+  SpecializationService Service;
+  std::unique_ptr<NetServer> Server;
 };
 
 /// One full client round trip; aborts on transport or render failure.
@@ -87,10 +117,8 @@ void runColdVsHit(BenchJson &Json) {
 
   ServiceConfig Config;
   Config.RenderThreads = 1;
-  SpecializationService Service(Config);
-  auto [Client, ServerEnd] = makeLoopbackPair();
-  std::thread Server(
-      [&ServerEnd, &Service] { serveConnection(*ServerEnd, Service); });
+  TcpBenchServer S(Config, NetServerConfig());
+  auto Client = S.connect();
 
   std::vector<ServiceRow> Rows;
   std::vector<double> AllHits;
@@ -122,9 +150,8 @@ void runColdVsHit(BenchJson &Json) {
     Rows.push_back(std::move(Row));
   }
 
-  MetricsSnapshot Stats = Service.statsz();
+  MetricsSnapshot Stats = S.Service.statsz();
   Client->shutdown();
-  Server.join();
 
   std::printf("%ux%u pixels, 1 cold + %u hit frames per shader:\n\n", W, H,
               Frames);
@@ -156,42 +183,6 @@ void runColdVsHit(BenchJson &Json) {
   Json.config("hit_p50_seconds", std::to_string(HitP50));
   Json.config("cold_over_hit_p50",
               std::to_string(HitP50 > 0 ? ColdP50 / HitP50 : 0.0));
-
-  // Native-tier stitch cost: what a cold request would additionally pay
-  // (once per chunk, cached across every later frame and warm restart)
-  // if the service rendered on ExecTier::Native. Measured directly on
-  // each gallery reader chunk, outside the serve loop.
-  if (jit::available()) {
-    ShaderLab Lab(W, H, 2);
-    std::vector<double> StitchSeconds;
-    uint64_t StitchBytes = 0;
-    for (const ShaderInfo &Info : shaderGallery()) {
-      auto Spec = Lab.specializePartition(Info, 0);
-      if (!Spec)
-        continue;
-      auto Prog = jit::compileChunk(Spec->compiled().ReaderChunk);
-      if (!Prog)
-        continue;
-      StitchSeconds.push_back(Prog->compileSeconds());
-      StitchBytes += Prog->codeBytes();
-    }
-    double StitchP50 = p50(StitchSeconds);
-    std::printf("native stitch: p50 %.3f ms per reader (%zu of %zu "
-                "stitched, %llu code bytes total) — %.2f%% of a cold "
-                "build, paid once per chunk\n",
-                StitchP50 * 1e3, StitchSeconds.size(),
-                shaderGallery().size(),
-                static_cast<unsigned long long>(StitchBytes),
-                ColdP50 > 0 ? StitchP50 / ColdP50 * 100.0 : 0.0);
-    Json.config("native_stitch_p50_seconds", std::to_string(StitchP50));
-    Json.configUnsigned("native_stitch_code_bytes",
-                        static_cast<unsigned>(StitchBytes));
-    Json.configUnsigned("native_stitched_readers",
-                        static_cast<unsigned>(StitchSeconds.size()));
-  } else {
-    std::printf("native stitch: unavailable in this build (fallback tier "
-                "serves native requests)\n");
-  }
 
   if (Stats.Cache.Misses != shaderGallery().size() ||
       Stats.Cache.Hits !=
@@ -259,36 +250,6 @@ void runOverloadShed(BenchJson &Json) {
 //===----------------------------------------------------------------------===//
 // TCP open-loop load and fairness
 //===----------------------------------------------------------------------===//
-
-/// A service plus a NetServer on an ephemeral TCP port.
-struct TcpBenchServer {
-  explicit TcpBenchServer(const ServiceConfig &ServiceCfg,
-                          NetServerConfig NetCfg)
-      : Service(ServiceCfg) {
-    NetCfg.TcpHostPort = "127.0.0.1:0";
-    Server = std::make_unique<NetServer>(Service, std::move(NetCfg));
-    std::string Error;
-    if (!Server->start(&Error)) {
-      std::fprintf(stderr, "!! cannot start TCP server: %s\n", Error.c_str());
-      std::abort();
-    }
-  }
-  ~TcpBenchServer() {
-    Server->shutdownServer();
-    Service.drain();
-  }
-  std::unique_ptr<Transport> connect() {
-    std::string Error;
-    auto T = connectTcp("127.0.0.1", Server->boundTcpPort(), &Error);
-    if (!T) {
-      std::fprintf(stderr, "!! connect: %s\n", Error.c_str());
-      std::abort();
-    }
-    return T;
-  }
-  SpecializationService Service;
-  std::unique_ptr<NetServer> Server;
-};
 
 struct LoadClientResult {
   std::vector<double> LatSeconds;
@@ -549,10 +510,8 @@ void runHotVsFair(BenchJson &Json) {
 
 // Micro-benchmark: one hit round trip through the full framed protocol.
 void BM_ServiceHitRoundTrip(benchmark::State &State) {
-  SpecializationService Service;
-  auto [Client, ServerEnd] = makeLoopbackPair();
-  std::thread Server(
-      [&ServerEnd, &Service] { serveConnection(*ServerEnd, Service); });
+  TcpBenchServer S{ServiceConfig(), NetServerConfig()};
+  auto Client = S.connect();
   RenderRequest Request;
   Request.Shader = "plastic";
   Request.Width = benchWidth();
@@ -565,7 +524,6 @@ void BM_ServiceHitRoundTrip(benchmark::State &State) {
     benchmark::DoNotOptimize(Reply);
   }
   Client->shutdown();
-  Server.join();
 }
 BENCHMARK(BM_ServiceHitRoundTrip)->Unit(benchmark::kMicrosecond);
 

@@ -89,9 +89,7 @@ uint64_t dspec::detectLlcBytes(uint64_t Fallback) {
 }
 
 std::vector<ArenaLayoutConfig>
-dspec::arenaLayoutCandidates(ExecTier Tier, unsigned EngineTilePixels) {
-  if (Tier == ExecTier::Native)
-    return {ArenaLayoutConfig{}};
+dspec::arenaLayoutCandidates(unsigned EngineTilePixels) {
   unsigned Tile = EngineTilePixels ? EngineTilePixels : 128;
   return {
       ArenaLayoutConfig{}, // identity first: wins all ties
@@ -137,9 +135,7 @@ ArenaLayoutConfig dspec::chooseArenaLayout(ExecTier Tier,
   }
   case ExecTier::Switch:
   case ExecTier::Threaded:
-  case ExecTier::Native:
-    // Per-pixel tiers walk one stride at a time; Native additionally
-    // requires a dense (map-free) arena or it deopts per chunk.
+    // Per-pixel tiers walk one stride at a time.
     Cfg.Layout = ArenaLayout::PixelMajor;
     break;
   }

@@ -88,8 +88,6 @@ uint64_t detectLlcBytes(uint64_t Fallback = 32ull << 20);
 /// with work tiles of \p EngineTilePixels:
 ///  - Batched wants TileBlocked with PackCold: unit-stride lane loops and
 ///    a hot stride below the pixel stride.
-///  - Native wants PixelMajor: the stitched cache fragments address one
-///    dense pixel stride, and a mapped arena would deopt every chunk.
 ///  - Switch/Threaded want PixelMajor: per-pixel execution already walks
 ///    one stride at a time, and identity keeps views map-free.
 /// Where reader frames can actually be timed, prefer the measured policy
@@ -97,12 +95,10 @@ uint64_t detectLlcBytes(uint64_t Fallback = 32ull << 20);
 /// wins are memory-hierarchy effects that a static rule cannot rank.
 ArenaLayoutConfig chooseArenaLayout(ExecTier Tier, unsigned EngineTilePixels);
 
-/// The candidate set the measured `auto` policy sweeps for \p Tier:
-/// pixel-major plus the packed slot-major/tile-blocked arrangements on
-/// the interpreter tiers; pixel-major alone on Native, where a mapped
-/// arena deopts every chunk and measuring it would grade the deopt path.
-std::vector<ArenaLayoutConfig> arenaLayoutCandidates(ExecTier Tier,
-                                                     unsigned EngineTilePixels);
+/// The candidate set the measured `auto` policy sweeps with work tiles of
+/// \p EngineTilePixels: pixel-major plus the packed slot-major and
+/// tile-blocked arrangements. Every tier addresses all of them.
+std::vector<ArenaLayoutConfig> arenaLayoutCandidates(unsigned EngineTilePixels);
 
 /// Measured `auto`: calls \p Measure (reader seconds per frame — lower
 /// is better) on every candidate and returns the winner. Ties and

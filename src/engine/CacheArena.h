@@ -100,8 +100,9 @@ public:
     return Config.PackCold ? Shape.hotBytes() : Stride;
   }
 
-  /// True when views are map-free (physical == canonical) — the JIT's
-  /// stitched cache fragments require this.
+  /// True when views are map-free (physical == canonical): the batched
+  /// tier then strides one dense pixel row per lane instead of resolving
+  /// the address map.
   bool denseViews() const { return Map.empty(); }
   /// Pixels per physical block (1 for dense/pixel-major arrangements).
   unsigned blockPixels() const { return BlockPx; }

@@ -6,8 +6,6 @@
 
 #include "engine/RenderEngine.h"
 
-#include "jit/Jit.h"
-
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -19,21 +17,6 @@ RenderEngine::RenderEngine(unsigned Threads, unsigned TilePixels)
       TileSize(TilePixels == 0 ? 1 : TilePixels) {
   Machines.resize(Pool->workerCount());
 }
-
-namespace {
-
-/// Whether any instruction of \p Code writes the cache (loader chunks do;
-/// readers never — the splitter emits loads only in the dynamic
-/// projection). One linear scan per pass, used to gate the native tier
-/// off read-only arenas.
-bool chunkStoresCache(const Chunk &Code) {
-  for (const Instr &In : Code.Code)
-    if (In.Op == OpCode::OC_CacheStore)
-      return true;
-  return false;
-}
-
-} // namespace
 
 bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
                            const std::vector<float> &Controls,
@@ -55,37 +38,13 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   // is what keeps snapshots format-stable: files persist the plain Chunk
   // and every load re-fuses. An invalid decode (hand-built or hostile
   // bytecode) silently falls back to the switch tier, whose dynamic
-  // checks produce the canonical diagnostics.
-  // Native tier: fetch (or stitch) the chunk's machine code first. The
-  // program owns its own decoded ExecChunk, so a hit skips buildExecChunk
-  // entirely; a miss that stitches is charged to this pass's stats. Any
-  // failure — unsupported host, DSPEC_FORCE_NO_JIT, W^X allocation,
-  // inexpressible opcode — leaves Native null and the pass deopts to the
-  // threaded tier below (bit-identical by construction).
-  // Layout gates. The stitched cache fragments address one dense pixel
-  // stride, so a mapped (slot-major / tile-blocked / cold-packed) arena
-  // deopts the native tier to threaded — the ISSUE-sanctioned fallback —
-  // and a read-only arena additionally deopts any chunk containing a
-  // cache store (the JIT's store helper writes through the frame's one
-  // pointer and cannot trap on constness). The batched tier needs every
-  // work tile inside one arena block; otherwise it runs threaded, which
-  // resolves the map per view.
-  const bool ArenaDense = !Arena || Arena->denseViews();
-  const bool ArenaReadOnly = ROArena != nullptr;
-  const bool NativeEligible =
-      ArenaDense && !(ArenaReadOnly && chunkStoresCache(Code));
-
-  std::shared_ptr<const jit::JitProgram> Native;
-  bool StitchedNow = false;
-  if (Tier == ExecTier::Native && NativeEligible)
-    Native = jit::ensureCompiled(Code, &StitchedNow);
-  const bool UseNative = Native != nullptr;
-
+  // checks produce the canonical diagnostics. The batched tier needs
+  // every work tile inside one arena block; otherwise it runs threaded,
+  // which resolves the map per view.
   ExecChunk Decoded;
-  if (Tier != ExecTier::Switch && !UseNative)
+  if (Tier != ExecTier::Switch)
     Decoded = buildExecChunk(Code);
-  const bool UseThreaded =
-      !UseNative && Tier != ExecTier::Switch && Decoded.Valid;
+  const bool UseThreaded = Tier != ExecTier::Switch && Decoded.Valid;
   const bool UseBatched = Tier == ExecTier::Batched && Decoded.Valid &&
                           Decoded.BatchSafe &&
                           (!Arena || Arena->batchCompatible(TileSize));
@@ -206,26 +165,10 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
           MutArena ? MutArena->view(static_cast<unsigned>(Index))
                    : (ROArena ? ROArena->view(static_cast<unsigned>(Index))
                               : CacheView());
-      ExecResult R;
-      if (UseNative) {
-        R = Machine.runJit(*Native, S.Args, View);
-        ++S.Stats.NativePixels;
-        if (!R.ok()) {
-          // Canonical diagnostics policy: re-derive the message through
-          // the reference switch interpreter (tier switch on trap), the
-          // same way a batch trap does. Only the message is taken — if
-          // the reference run somehow succeeds, the native trap stands
-          // so a semantics divergence would surface, not be masked.
-          ExecResult Ref = Arena ? Machine.run(Code, S.Args, View)
-                                 : Machine.run(Code, S.Args);
-          if (!Ref.ok())
-            R.TrapMessage = std::move(Ref.TrapMessage);
-        }
-      } else {
-        R = PerPixelThreaded ? Machine.runThreaded(Decoded, S.Args, View)
-                             : (Arena ? Machine.run(Code, S.Args, View)
-                                      : Machine.run(Code, S.Args));
-      }
+      ExecResult R = PerPixelThreaded
+                         ? Machine.runThreaded(Decoded, S.Args, View)
+                         : (Arena ? Machine.run(Code, S.Args, View)
+                                  : Machine.run(Code, S.Args));
       if (!R.ok()) {
         if (Index < S.TrapPixel) {
           S.TrapPixel = Index;
@@ -247,12 +190,6 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
     LastStats.BailedTiles += S.Stats.BailedTiles;
     LastStats.BatchDispatchLanes += S.Stats.BatchDispatchLanes;
     LastStats.BatchActiveLanes += S.Stats.BatchActiveLanes;
-    LastStats.NativePixels += S.Stats.NativePixels;
-  }
-  if (UseNative) {
-    LastStats.NativeCompiles = StitchedNow ? 1 : 0;
-    LastStats.NativeCodeBytes = Native->codeBytes();
-    LastStats.NativeCompileSeconds = StitchedNow ? Native->compileSeconds() : 0.0;
   }
 
   if (AnyTrap.load(std::memory_order_relaxed)) {

@@ -88,7 +88,6 @@ std::string MetricsSnapshot::toJson() const {
       "\"capacity\":%llu,\"hit_rate\":%.4f}%s,"
       "\"variants\":%s,"
       "\"exec_tiers\":%s,"
-      "\"jit\":{\"compiles\":%llu,\"code_bytes\":%llu},"
       "%s,"
       "\"queue_depth\":%llu,"
       "\"latency_seconds\":{\"samples\":%llu,\"p50\":%.9f,\"p95\":%.9f,"
@@ -111,8 +110,7 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(Cache.Entries),
       static_cast<unsigned long long>(CacheCapacity), cacheHitRate(),
       SpillJson.c_str(), VariantsJson.c_str(), TiersJson.c_str(),
-      static_cast<unsigned long long>(JitCompiles),
-      static_cast<unsigned long long>(JitCodeBytes), ArenaJson.c_str(),
+      ArenaJson.c_str(),
       static_cast<unsigned long long>(QueueDepth),
       static_cast<unsigned long long>(LatencySamples), LatencyP50, LatencyP95,
       LatencyP99, NetSection.c_str());

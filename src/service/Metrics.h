@@ -72,15 +72,10 @@ struct MetricsSnapshot {
   /// when present only by accident of ordering — labels sort lexically).
   std::vector<VariantStat> Variants;
 
-  /// Requests served per execution tier ("switch"/"threaded"/"batched"/
-  /// "native"), sorted by tier name. Only tiers that served at least one
-  /// request appear.
+  /// Requests served per execution tier ("switch"/"threaded"/"batched"),
+  /// sorted by tier name. Only tiers that served at least one request
+  /// appear.
   std::vector<std::pair<std::string, uint64_t>> ExecTiers;
-  /// Native-tier stitching totals (jit::stats()); zero in fallback
-  /// builds, where ExecTiers still reports "native" requests — they just
-  /// ran the threaded deopt path.
-  uint64_t JitCompiles = 0;
-  uint64_t JitCodeBytes = 0;
 
   /// Arena accounting, aggregated over the live unit cache at snapshot
   /// time: the configured physical layout, bytes actually allocated

@@ -31,8 +31,9 @@ namespace dspec {
 /// The results are pinned bit for bit (Noise.MatchesSeedValues), so the
 /// kernel must be compiled without floating-point contraction: an FMA for
 /// fade's or lerp's a * b + c rounds once instead of twice and changes the
-/// noise. The project builds for the baseline ISA, which has no FMA; do not
-/// add -mfma, -march=native or target attributes to this file.
+/// noise. The top-level CMakeLists.txt passes -ffp-contract=off to every
+/// file, which keeps these results on FMA targets too (x86-64-v3,
+/// aarch64); do not turn contraction back on for this file.
 float perlinNoise3(float X, float Y, float Z);
 
 /// X[i] = perlinNoise3(X[i], Y[i], Z[i]) for i < \p N, bit for bit. Runs

@@ -31,10 +31,6 @@
 
 namespace dspec {
 
-namespace jit {
-struct JitProgram;
-}
-
 /// A specialization's boxed data cache: one Value per slot. Compatibility
 /// representation; the render path uses packed CacheViews instead.
 using Cache = std::vector<Value>;
@@ -176,15 +172,6 @@ public:
   /// through the switch tier to reproduce the canonical lowest-pixel
   /// diagnostic.
   ExecResult runBatch(const ExecChunk &C, const BatchRequest &Req);
-
-  /// Fast tier 3: executes a stitched native program (jit::compileChunk)
-  /// produced from the same verified ExecChunk the threaded tier runs.
-  /// Argument validation, trap messages, and instruction accounting are
-  /// identical to runThreaded — the stitched code calls the same
-  /// vm/InterpOps.h semantics through per-opcode helpers. Defined in
-  /// src/jit/JitRuntime.cpp; never called when jit::available() is false.
-  ExecResult runJit(const jit::JitProgram &P, const std::vector<Value> &Args,
-                    CacheView View = CacheView());
 
   /// Values recorded by dsc_trace, in call order.
   const std::vector<float> &traceLog() const { return TraceLog; }

@@ -62,7 +62,7 @@ std::vector<unsigned char> canonical(const CacheArena &Arena) {
 }
 
 constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched, ExecTier::Native};
+                               ExecTier::Batched};
 
 struct NamedLayout {
   const char *Name;
@@ -517,22 +517,15 @@ TEST(ArenaLayout, LlcDetectionNeverReportsZero) {
 }
 
 TEST(ArenaLayout, CandidateSetsMatchTierConstraints) {
-  // Native must not be offered a mapped arena: it would deopt per chunk
-  // and the measurement would grade the deopt path.
-  auto Native = arenaLayoutCandidates(ExecTier::Native, 128);
-  ASSERT_EQ(Native.size(), 1u);
-  EXPECT_EQ(Native[0], ArenaLayoutConfig{});
-
-  for (ExecTier Tier :
-       {ExecTier::Switch, ExecTier::Threaded, ExecTier::Batched}) {
-    auto Set = arenaLayoutCandidates(Tier, 128);
-    ASSERT_GE(Set.size(), 2u) << execTierName(Tier);
+  for (unsigned EngineTile : {64u, 128u, 256u}) {
+    auto Set = arenaLayoutCandidates(EngineTile);
+    ASSERT_GE(Set.size(), 2u) << EngineTile;
     // Identity first: ties break toward the map-free arrangement.
-    EXPECT_EQ(Set[0], ArenaLayoutConfig{}) << execTierName(Tier);
+    EXPECT_EQ(Set[0], ArenaLayoutConfig{}) << EngineTile;
     for (const ArenaLayoutConfig &Cfg : Set) {
       if (Cfg.Layout == ArenaLayout::TileBlocked) {
-        EXPECT_EQ(Cfg.TilePixels % 128, 0u)
-            << execTierName(Tier)
+        EXPECT_EQ(Cfg.TilePixels % EngineTile, 0u)
+            << EngineTile
             << ": blocks must stay a multiple of the engine tile";
       }
     }
@@ -540,7 +533,7 @@ TEST(ArenaLayout, CandidateSetsMatchTierConstraints) {
 }
 
 TEST(ArenaLayout, PickArenaLayoutAppliesHysteresis) {
-  auto Set = arenaLayoutCandidates(ExecTier::Batched, 128);
+  auto Set = arenaLayoutCandidates(128);
   ASSERT_GE(Set.size(), 2u);
 
   // Within 2% of the incumbent: the earlier, simpler candidate stays.

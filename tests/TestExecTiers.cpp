@@ -6,13 +6,11 @@
 ///
 /// \file
 /// The fast execution tiers' contract (docs/ENGINE.md, "Execution
-/// tiers"): the decoded/fused ExecChunk and the threaded, batched, and
-/// native (copy-and-patch JIT) tiers are pure speed — every gallery
-/// shader renders bit-identical framebuffers and loads bit-identical
-/// cache arenas under every tier and thread count, traps carry the same
-/// message everywhere, and superinstruction fusion never crosses a jump
-/// target. (On hosts where the native tier cannot stitch it runs its
-/// threaded deopt path, so these tests still pin the fallback.)
+/// tiers"): the decoded/fused ExecChunk and the threaded and batched
+/// tiers are pure speed — every gallery shader renders bit-identical
+/// framebuffers and loads bit-identical cache arenas under every tier
+/// and thread count, argument checks and traps carry the same message
+/// everywhere, and superinstruction fusion never crosses a jump target.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -60,7 +61,7 @@ Chunk compileOne(const std::string &Source, const std::string &Name) {
 }
 
 constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched, ExecTier::Native};
+                               ExecTier::Batched};
 
 //===----------------------------------------------------------------------===//
 // ExecChunk: decoding, fusion, flags
@@ -243,6 +244,101 @@ TEST(VMTrap, HandWrittenChunksWithoutLocsKeepBareMessage) {
   auto R = Machine.run(Code, {});
   ASSERT_TRUE(R.Trapped);
   EXPECT_EQ(R.TrapMessage, "integer division by zero in 'old'");
+}
+
+//===----------------------------------------------------------------------===//
+// Threaded entry checks and budget against the switch reference
+//===----------------------------------------------------------------------===//
+
+/// Wrong arity and wrong argument type trap before the first instruction
+/// with the switch tier's exact messages, and an int argument to a float
+/// parameter is promoted the same way.
+TEST(ExecTiers, ThreadedArgumentChecksMatchSwitch) {
+  const Chunk Code = compileOne("float f(float a) { return a + 1.0; }", "f");
+  ExecChunk Exec = buildExecChunk(Code);
+  ASSERT_TRUE(Exec.Valid);
+  VM Machine;
+
+  auto Ref = Machine.run(Code, {});
+  auto Fast = Machine.runThreaded(Exec, {});
+  ASSERT_TRUE(Ref.Trapped && Fast.Trapped);
+  EXPECT_NE(Ref.TrapMessage.find("argument count mismatch"),
+            std::string::npos)
+      << Ref.TrapMessage;
+  EXPECT_EQ(Fast.TrapMessage, Ref.TrapMessage);
+
+  Ref = Machine.run(Code, {Value::makeBool(true)});
+  Fast = Machine.runThreaded(Exec, {Value::makeBool(true)});
+  ASSERT_TRUE(Ref.Trapped && Fast.Trapped);
+  EXPECT_NE(Ref.TrapMessage.find("argument type mismatch"),
+            std::string::npos)
+      << Ref.TrapMessage;
+  EXPECT_EQ(Fast.TrapMessage, Ref.TrapMessage);
+
+  Ref = Machine.run(Code, {Value::makeInt(3)});
+  Fast = Machine.runThreaded(Exec, {Value::makeInt(3)});
+  ASSERT_TRUE(Ref.ok()) << Ref.TrapMessage;
+  ASSERT_TRUE(Fast.ok()) << Fast.TrapMessage;
+  EXPECT_EQ(Ref.Result.Kind, TypeKind::TK_Float);
+  EXPECT_EQ(Ref.Result.F[0], 4.0f);
+  EXPECT_TRUE(bitIdentical(Fast.Result, Ref.Result));
+}
+
+/// A runaway loop stops on the instruction budget with the same trap on
+/// both scalar tiers (fusion changes the count of dispatches, not the
+/// message or the fact of the trap).
+TEST(ExecTiers, ThreadedBudgetTrapMatchesSwitch) {
+  const Chunk Spin = compileOne("int f(int n) {\n"
+                                "  int i = 0;\n"
+                                "  while (i < n) { i = i + 1; }\n"
+                                "  return i;\n"
+                                "}",
+                                "f");
+  ExecChunk Exec = buildExecChunk(Spin);
+  ASSERT_TRUE(Exec.Valid);
+  VM Machine;
+  Machine.InstructionBudget = 100;
+  auto Ref = Machine.run(Spin, {Value::makeInt(1 << 20)});
+  auto Fast = Machine.runThreaded(Exec, {Value::makeInt(1 << 20)});
+  ASSERT_TRUE(Ref.Trapped);
+  ASSERT_TRUE(Fast.Trapped);
+  EXPECT_NE(Ref.TrapMessage.find("instruction budget exceeded"),
+            std::string::npos)
+      << Ref.TrapMessage;
+  EXPECT_EQ(Fast.TrapMessage, Ref.TrapMessage);
+
+  // Under the budget both tiers finish with the same answer.
+  Ref = Machine.run(Spin, {Value::makeInt(10)});
+  Fast = Machine.runThreaded(Exec, {Value::makeInt(10)});
+  ASSERT_TRUE(Ref.ok() && Fast.ok());
+  EXPECT_TRUE(bitIdentical(Fast.Result, Ref.Result));
+}
+
+/// "native" names no tier: the parser rejects it, and so does the CLI,
+/// with a usage error (exit 1) that lists the tiers there are.
+TEST(ExecTiers, NativeIsNotATier) {
+  ExecTier Tier = ExecTier::Switch;
+  EXPECT_FALSE(parseExecTier("native", Tier));
+  EXPECT_EQ(Tier, ExecTier::Switch) << "a failed parse must not write Out";
+  for (ExecTier Known : kTiers) {
+    ExecTier Parsed = ExecTier::Switch;
+    EXPECT_TRUE(parseExecTier(execTierName(Known), Parsed));
+    EXPECT_EQ(Parsed, Known);
+  }
+
+  const std::string Command =
+      std::string("\"") + DSPEC_CLI_PATH + "\" serve --exec-tier native 2>&1";
+  FILE *Pipe = popen(Command.c_str(), "r");
+  ASSERT_NE(Pipe, nullptr);
+  std::string Output;
+  char Buf[256];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), Pipe))
+    Output.append(Buf, N);
+  const int Status = pclose(Pipe);
+  ASSERT_TRUE(WIFEXITED(Status)) << Output;
+  EXPECT_EQ(WEXITSTATUS(Status), 1) << Output;
+  EXPECT_NE(Output.find("switch|threaded|batched"), std::string::npos)
+      << Output;
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,14 +6,17 @@
 ///
 /// \file
 /// End-to-end tests of the specialization service: the framed protocol
-/// over the loopback transport, the bit-identity of served frames against
-/// the unspecialized plain pass (the paper's equivalence guarantee,
-/// through the whole server), load shedding, and graceful drain.
+/// (its corruption checks over the in-process loopback transport), the
+/// bit-identity of frames served through the event-loop front end on a
+/// loopback socket against the unspecialized plain pass (the paper's
+/// equivalence guarantee, through the whole server), load shedding, and
+/// graceful drain.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "engine/RenderEngine.h"
+#include "net/NetServer.h"
 #include "service/Protocol.h"
 #include "service/Service.h"
 #include "service/Transport.h"
@@ -491,28 +494,32 @@ TEST(Service, DrainRejectsNewWorkAndIsIdempotent) {
 }
 
 //===----------------------------------------------------------------------===//
-// End-to-end over the loopback transport
+// End-to-end over a loopback socket
 //===----------------------------------------------------------------------===//
 
-/// A live in-process server: a service plus a connection thread serving
-/// the server end of a loopback pair.
+/// A live in-process server: a service behind the event-loop front end
+/// (NetServer) on an ephemeral loopback TCP port, and one client.
 struct LoopbackServer {
   SpecializationService Service;
+  std::unique_ptr<NetServer> Server;
   std::unique_ptr<Transport> Client;
-  std::unique_ptr<Transport> ServerEnd;
-  std::thread Thread;
 
   explicit LoopbackServer(const ServiceConfig &Config = {})
       : Service(Config) {
-    auto Pair = makeLoopbackPair();
-    Client = std::move(Pair.first);
-    ServerEnd = std::move(Pair.second);
-    Thread = std::thread([this] { serveConnection(*ServerEnd, Service); });
+    NetServerConfig NetCfg;
+    NetCfg.TcpHostPort = "127.0.0.1:0";
+    Server = std::make_unique<NetServer>(Service, std::move(NetCfg));
+    std::string Error;
+    EXPECT_TRUE(Server->start(&Error)) << Error;
+    Client = connectTcp("127.0.0.1", Server->boundTcpPort(), &Error);
+    EXPECT_NE(Client, nullptr) << Error;
   }
 
   ~LoopbackServer() {
-    Client->shutdown();
-    Thread.join();
+    if (Client)
+      Client->shutdown();
+    Server->shutdownServer();
+    Service.drain();
   }
 };
 
