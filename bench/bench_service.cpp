@@ -33,6 +33,12 @@
 ///                    within 2x of its solo p99 — per-client fairness
 ///                    measured, not asserted.
 ///
+/// BM_ReplySerialize times the stages a 640x480 reply passes through
+/// after the reader, each before and after framing moved onto the
+/// render workers' tile CRCs: the server's serialisation into its write
+/// backlog, the client's receive and decode, and the reader pass with
+/// and without its tile checksums.
+///
 /// Emits BENCH_service.json.
 ///
 //===----------------------------------------------------------------------===//
@@ -43,6 +49,7 @@
 #include "service/Protocol.h"
 #include "service/Service.h"
 #include "service/Transport.h"
+#include "shading/ShaderLab.h"
 
 #include <benchmark/benchmark.h>
 
@@ -526,6 +533,142 @@ void BM_ServiceHitRoundTrip(benchmark::State &State) {
   Client->shutdown();
 }
 BENCHMARK(BM_ServiceHitRoundTrip)->Unit(benchmark::kMicrosecond);
+
+/// Hands every read the next bytes of one prepared frame, as recv would
+/// from a socket buffer that already holds it; writes are dropped.
+class FrameReplayTransport : public Transport {
+public:
+  explicit FrameReplayTransport(const std::vector<unsigned char> &Frame)
+      : Frame(Frame) {}
+  bool writeAll(const void *, size_t) override { return true; }
+  bool readAll(void *Data, size_t Size) override {
+    if (Size > Frame.size() - Pos)
+      return false;
+    std::memcpy(Data, Frame.data() + Pos, Size);
+    Pos += Size;
+    return true;
+  }
+  void shutdown() override {}
+  void rewind() { Pos = 0; }
+
+private:
+  const std::vector<unsigned char> &Frame;
+  size_t Pos = 0;
+};
+
+enum class ReplyStage {
+  /// encodeRenderReply into a fresh ByteWriter, then appendFrame (copy
+  /// and serial CRC) into the reused backlog.
+  ServerByteWriter,
+  /// appendRenderReplyFrame with the pixel CRC the tiles computed.
+  ServerDirect,
+  /// readFrame into a payload vector (serial CRC), then decodeRenderReply.
+  ClientBuffered,
+  /// requestRender: fields, then the floats straight into Reply.Pixels,
+  /// CRC folded per chunk.
+  ClientDirect,
+  /// The reader pass alone, and with its tile checksums.
+  ReaderPass,
+  ReaderPassWithCrc,
+};
+
+void BM_ReplySerialize(benchmark::State &State, ReplyStage Stage) {
+  constexpr unsigned Width = 640, Height = 480;
+  ShaderLab Lab(Width, Height);
+  const ShaderInfo &Info = *findShader("plastic");
+  auto Spec = Lab.specializePartition(Info, 0);
+  RenderEngine Engine(0);
+  std::vector<float> Controls = ShaderLab::defaultControls(Info);
+  if (!Spec || !Spec->load(Engine, Lab.grid(), Controls))
+    std::abort();
+  RenderReply Reply;
+  Reply.Width = Width;
+  Reply.Height = Height;
+  Reply.CacheHit = true;
+  Reply.Pixels.resize(size_t{Width} * Height * 3);
+  uint32_t Crc = 0;
+  if (!Engine.readerPassRGB(Spec->compiled().ReaderChunk, Lab.grid(),
+                            Controls, Spec->arena(), Reply.Pixels.data(),
+                            &Crc))
+    std::abort();
+  Reply.PixelCrc = Crc;
+
+  std::vector<unsigned char> Backlog; // reused, as Conn's OutBuf is
+  const std::vector<unsigned char> Frame = [&] {
+    std::vector<unsigned char> F;
+    appendRenderReplyFrame(F, Reply);
+    return F;
+  }();
+  FrameReplayTransport Replay(Frame);
+  RenderRequest Request;
+  Request.Shader = Info.Name;
+  std::string Error;
+  for (auto _ : State) {
+    switch (Stage) {
+    case ReplyStage::ServerByteWriter: {
+      Backlog.clear();
+      ByteWriter W;
+      encodeRenderReply(W, Reply);
+      appendFrame(Backlog, FrameType::RenderReply, W.bytes().data(),
+                  W.size());
+      benchmark::DoNotOptimize(Backlog.data());
+      break;
+    }
+    case ReplyStage::ServerDirect:
+      Backlog.clear();
+      appendRenderReplyFrame(Backlog, Reply);
+      benchmark::DoNotOptimize(Backlog.data());
+      break;
+    case ReplyStage::ClientBuffered: {
+      Replay.rewind();
+      FrameType Type;
+      std::vector<unsigned char> Payload;
+      if (!readFrame(Replay, Type, Payload, &Error))
+        std::abort();
+      ByteReader R(Payload);
+      RenderReply Got;
+      if (!decodeRenderReply(R, Got, &Error))
+        std::abort();
+      benchmark::DoNotOptimize(Got.Pixels.data());
+      break;
+    }
+    case ReplyStage::ClientDirect: {
+      Replay.rewind();
+      std::optional<RenderReply> Got = requestRender(Replay, Request, &Error);
+      if (!Got)
+        std::abort();
+      benchmark::DoNotOptimize(Got->Pixels.data());
+      break;
+    }
+    case ReplyStage::ReaderPass:
+    case ReplyStage::ReaderPassWithCrc:
+      if (!Engine.readerPassRGB(
+              Spec->compiled().ReaderChunk, Lab.grid(), Controls,
+              Spec->arena(), Reply.Pixels.data(),
+              Stage == ReplyStage::ReaderPassWithCrc ? &Crc : nullptr))
+        std::abort();
+      benchmark::DoNotOptimize(Crc);
+      break;
+    }
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Frame.size()));
+}
+BENCHMARK_CAPTURE(BM_ReplySerialize, server_bytewriter,
+                  ReplyStage::ServerByteWriter)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ReplySerialize, server_direct, ReplyStage::ServerDirect)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ReplySerialize, client_buffered,
+                  ReplyStage::ClientBuffered)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ReplySerialize, client_direct, ReplyStage::ClientDirect)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ReplySerialize, reader, ReplyStage::ReaderPass)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ReplySerialize, reader_with_crc,
+                  ReplyStage::ReaderPassWithCrc)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -27,6 +27,7 @@
 
 #include "vm/Value.h"
 
+#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,6 +94,13 @@ class Framebuffer {
 public:
   Framebuffer(unsigned Width, unsigned Height)
       : W(Width), H(Height), Pixels(static_cast<size_t>(Width) * Height) {}
+  /// Adopts \p Pixels (Width x Height values, pixel order) without
+  /// initialising a buffer first.
+  Framebuffer(unsigned Width, unsigned Height, std::vector<Value> Pixels)
+      : W(Width), H(Height), Pixels(std::move(Pixels)) {
+    assert(this->Pixels.size() == static_cast<size_t>(Width) * Height &&
+           "pixel count does not match the framebuffer size");
+  }
 
   unsigned width() const { return W; }
   unsigned height() const { return H; }

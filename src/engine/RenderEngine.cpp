@@ -6,6 +6,7 @@
 
 #include "engine/RenderEngine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstring>
@@ -14,18 +15,22 @@ using namespace dspec;
 
 RenderEngine::RenderEngine(unsigned Threads, unsigned TilePixels)
     : Pool(std::make_unique<ThreadPool>(Threads)),
-      TileSize(TilePixels == 0 ? 1 : TilePixels) {
+      TileSize(TilePixels == 0 ? 1 : TilePixels),
+      CRCRunTiles(std::max<unsigned>(
+          1, kCRCRunBytes / (TileSize * 3 * sizeof(float)))),
+      CRCRunShift(uint64_t{CRCRunTiles} * TileSize * 3 * sizeof(float)) {
   Machines.resize(Pool->workerCount());
 }
 
 bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
                            const std::vector<float> &Controls,
                            CacheArena *MutArena, const CacheArena *ROArena,
-                           Framebuffer *Out, float *RGB) {
+                           Framebuffer *Out, float *RGB, uint32_t *RGBCrc) {
   assert((!Out || (Out->width() == Grid.width() &&
                    Out->height() == Grid.height())) &&
          "framebuffer does not match the grid");
   assert(!(MutArena && ROArena) && "a pass binds at most one arena");
+  assert((!RGBCrc || RGB) && "an RGB checksum needs an RGB buffer");
   const CacheArena *Arena = MutArena ? MutArena : ROArena;
 
   const size_t Count = Grid.pixelCount();
@@ -83,9 +88,7 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
 
   std::atomic<bool> AnyTrap{false};
 
-  Pool->parallelFor(Tiles, [&](unsigned Worker, size_t Tile) {
-    if (AnyTrap.load(std::memory_order_relaxed))
-      return; // the pass already failed; stop starting new tiles
+  auto RunTile = [&](unsigned Worker, size_t Tile) {
     WorkerState &S = States[Worker];
     VM &Machine = Machines[Worker];
     const size_t Begin = Tile * TileSize;
@@ -182,6 +185,32 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
       if (RGB)
         std::memcpy(RGB + 3 * Index, R.Result.F, 3 * sizeof(float));
     }
+  };
+
+  // A work item is one tile, or with a checksum a run of CRCRunTiles
+  // tiles that the worker checksums right after rendering them: their
+  // RGB bytes are still in its cache, the CRC tables load once per run,
+  // and the run is long enough for crc32's interleaved streams. Each
+  // run's CRC is written by its worker and read after the join.
+  const size_t TilesPerItem = RGBCrc ? CRCRunTiles : 1;
+  const size_t Items = (Tiles + TilesPerItem - 1) / TilesPerItem;
+  std::vector<uint32_t> RunCrcs(RGBCrc ? Items : 0);
+  Pool->parallelFor(Items, [&](unsigned Worker, size_t Item) {
+    // Checked per item, not per tile: every tile of an item started
+    // before a trap still runs, so the lowest trapping pixel is found
+    // at every thread count.
+    if (AnyTrap.load(std::memory_order_relaxed))
+      return; // the pass already failed; stop starting new items
+    const size_t First = Item * TilesPerItem;
+    const size_t Last = std::min(Tiles, First + TilesPerItem);
+    for (size_t Tile = First; Tile < Last; ++Tile)
+      RunTile(Worker, Tile);
+    if (RGBCrc && !AnyTrap.load(std::memory_order_relaxed)) {
+      const size_t Begin = First * TileSize;
+      const size_t End = std::min(Count, Last * TileSize);
+      RunCrcs[Item] =
+          crc32(RGB + 3 * Begin, (End - Begin) * 3 * sizeof(float));
+    }
   });
 
   LastStats = PassExecStats();
@@ -202,6 +231,20 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
         LastTrap = "pixel " + std::to_string(Best) + ": " + S.TrapMessage;
       }
     return false;
+  }
+  if (RGBCrc) {
+    // Join the run CRCs in pixel order; every run but a short last one
+    // has the same byte length, so its shift operator is precomputed.
+    const size_t RunPixels = TilesPerItem * TileSize;
+    uint32_t Crc = 0;
+    for (size_t Item = 0; Item < Items; ++Item) {
+      uint64_t Pixels = std::min(RunPixels, Count - Item * RunPixels);
+      uint64_t Bytes = Pixels * 3 * sizeof(float);
+      Crc = Bytes == CRCRunShift.size()
+                ? CRCRunShift.combine(Crc, RunCrcs[Item])
+                : crc32Combine(Crc, RunCrcs[Item], Bytes);
+    }
+    *RGBCrc = Crc;
   }
   return true;
 }
@@ -233,11 +276,13 @@ bool RenderEngine::readerPass(const Chunk &Reader, const RenderGrid &Grid,
 
 bool RenderEngine::readerPassRGB(const Chunk &Reader, const RenderGrid &Grid,
                                  const std::vector<float> &Controls,
-                                 const CacheArena &Arena, float *RGB) {
+                                 const CacheArena &Arena, float *RGB,
+                                 uint32_t *RGBCrc) {
   assert(Arena.pixelCount() == Grid.pixelCount() &&
          Arena.strideBytes() >= Reader.CacheBytes &&
          "arena was not loaded for this grid and layout");
-  return runPass(Reader, Grid, Controls, nullptr, &Arena, nullptr, RGB);
+  return runPass(Reader, Grid, Controls, nullptr, &Arena, nullptr, RGB,
+                 RGBCrc);
 }
 
 bool RenderEngine::plainPass(const Chunk &Original, const RenderGrid &Grid,

@@ -33,6 +33,7 @@
 #include "engine/RenderContext.h"
 #include "engine/ThreadPool.h"
 #include "snapshot/Snapshot.h"
+#include "support/Crc32.h"
 #include "vm/VM.h"
 
 #include <memory>
@@ -116,9 +117,17 @@ public:
   /// RenderReply::fromFramebuffer copies out of a Framebuffer — to
   /// \p RGB (3 x pixelCount floats, pixel order). The service renders
   /// reply payloads this way, with no Framebuffer in between.
+  ///
+  /// With \p RGBCrc, a successful pass also stores crc32 of the RGB
+  /// buffer's bytes there: work goes out in runs of tiles (about
+  /// kCRCRunBytes of RGB each), the worker that rendered a run checksums
+  /// its bytes while they are still in its cache, and the caller's thread
+  /// joins the run CRCs in pixel order (crc32Combine), so no thread makes
+  /// a serial pass over the frame.
   bool readerPassRGB(const Chunk &Reader, const RenderGrid &Grid,
                      const std::vector<float> &Controls,
-                     const CacheArena &Arena, float *RGB);
+                     const CacheArena &Arena, float *RGB,
+                     uint32_t *RGBCrc = nullptr);
 
   /// Runs an unspecialized fragment over every pixel.
   bool plainPass(const Chunk &Original, const RenderGrid &Grid,
@@ -200,15 +209,23 @@ private:
   /// passes get a writable arena, reader passes a read-only one (cache
   /// stores trap in every tier — no const_cast anywhere on the path).
   /// Results go to \p Out, \p RGB, both or neither.
+  /// \p RGBCrc (only with \p RGB) receives the CRC of the RGB bytes.
   bool runPass(const Chunk &Code, const RenderGrid &Grid,
                const std::vector<float> &Controls, CacheArena *MutArena,
-               const CacheArena *ROArena, Framebuffer *Out, float *RGB);
+               const CacheArena *ROArena, Framebuffer *Out, float *RGB,
+               uint32_t *RGBCrc = nullptr);
 
   // Held by pointer so the engine stays movable (the pool owns mutexes
   // and worker threads, which pin it in place).
   std::unique_ptr<ThreadPool> Pool;
   std::vector<VM> Machines; // one per worker
   unsigned TileSize;
+  /// RGB bytes a checksummed pass renders and then CRCs in one run.
+  static constexpr unsigned kCRCRunBytes = 24 << 10;
+  /// Tiles per checksummed run, and the operator that joins a full
+  /// run's CRC onto the CRC of the runs before it.
+  unsigned CRCRunTiles;
+  Crc32Shift CRCRunShift;
   ExecTier Tier = ExecTier::Batched;
   ArenaLayoutConfig ArenaCfg;
   std::string LastTrap;

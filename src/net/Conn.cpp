@@ -205,9 +205,9 @@ void Conn::serializeSlot(Slot &S) {
     return;
   }
   if (!S.Stream) {
-    ByteWriter W;
-    encodeRenderReply(W, S.Reply);
-    appendFrame(OutBuf, FrameType::RenderReply, W.bytes().data(), W.size());
+    // Straight into the reused backlog; the pixel CRC came from the
+    // render workers.
+    appendRenderReplyFrame(OutBuf, S.Reply);
     return;
   }
   // Streamed reply: chop the framebuffer into RenderPartial frames, then
@@ -245,7 +245,10 @@ void Conn::serializeSlot(Slot &S) {
   Done.CacheHit = S.Reply.CacheHit;
   Done.ServiceMicros = S.Reply.ServiceMicros;
   Done.NumPartials = Partials;
-  Done.PixelCrc = S.Reply.ok() ? pixelCrc(S.Reply.Pixels) : 0;
+  // The render workers already checksummed the pixels.
+  if (S.Reply.ok())
+    Done.PixelCrc =
+        S.Reply.PixelCrc ? *S.Reply.PixelCrc : pixelCrc(S.Reply.Pixels);
   ByteWriter W;
   encodeRenderDone(W, Done);
   appendFrame(OutBuf, FrameType::RenderDone, W.bytes().data(), W.size());

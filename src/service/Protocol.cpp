@@ -37,12 +37,15 @@ const char *dspec::renderStatusName(RenderStatus Status) {
 }
 
 Framebuffer RenderReply::toFramebuffer() const {
-  Framebuffer Fb(Width, Height);
+  // Build the pixels in place rather than value-initialising a
+  // framebuffer and overwriting it: each Value is written once.
+  const size_t Count = static_cast<size_t>(Width) * Height;
+  std::vector<Value> Values;
+  Values.reserve(Count);
   const float *RGB = Pixels.data();
-  for (uint32_t Y = 0; Y < Height; ++Y)
-    for (uint32_t X = 0; X < Width; ++X, RGB += 3)
-      Fb.at(X, Y) = Value::makeVec3(RGB[0], RGB[1], RGB[2]);
-  return Fb;
+  for (size_t I = 0; I < Count; ++I, RGB += 3)
+    Values.push_back(Value::makeVec3(RGB[0], RGB[1], RGB[2]));
+  return Framebuffer(Width, Height, std::move(Values));
 }
 
 RenderReply RenderReply::fromFramebuffer(const Framebuffer &Fb) {
@@ -115,11 +118,17 @@ bool dspec::decodeRenderRequest(ByteReader &R, RenderRequest &Out,
   return R.ok();
 }
 
-void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
-  // 26 fixed bytes (status 1, error length 4, width 4, height 4, hit 1,
-  // micros 8, float count 4), the error text and the pixels: one
-  // reservation for all of it.
-  W.reserve(26 + Reply.Error.size() + Reply.Pixels.size() * sizeof(float));
+namespace {
+
+/// A render reply's 26 fixed bytes before the pixels (status 1, error
+/// length 4, width 4, height 4, hit 1, micros 8, float count 4), with
+/// the error text after the error length.
+constexpr size_t kReplyFixedBytes = 26;
+/// The fixed bytes before (status, error length) and after the error text.
+constexpr size_t kReplyFieldsBeforeError = 5;
+constexpr size_t kReplyFieldsAfterError = 21;
+
+void encodeRenderReplyFields(ByteWriter &W, const RenderReply &Reply) {
   W.writeU8(static_cast<uint8_t>(Reply.Status));
   W.writeString(Reply.Error);
   W.writeU32(Reply.Width);
@@ -127,11 +136,11 @@ void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
   W.writeU8(Reply.CacheHit ? 1 : 0);
   W.writeU64(Reply.ServiceMicros);
   W.writeU32(static_cast<uint32_t>(Reply.Pixels.size()));
-  W.writeF32Array(Reply.Pixels.data(), Reply.Pixels.size());
 }
 
-bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
-                              std::string *Error) {
+/// Reads everything up to the pixels and returns the float count, which
+/// must match the image (or be 0 on a non-Ok reply).
+uint32_t decodeRenderReplyFields(ByteReader &R, RenderReply &Out) {
   uint8_t Status = R.readU8();
   if (Status > static_cast<uint8_t>(RenderStatus::ShedQuota))
     R.fail("unknown render status " + std::to_string(Status));
@@ -145,6 +154,23 @@ bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
   if (NumFloats != static_cast<uint64_t>(Out.Width) * Out.Height * 3 &&
       !(NumFloats == 0 && Out.Status != RenderStatus::Ok))
     R.fail("pixel payload does not match the image dimensions");
+  return NumFloats;
+}
+
+} // namespace
+
+void dspec::encodeRenderReply(ByteWriter &W, const RenderReply &Reply) {
+  // The fixed bytes, the error text and the pixels: one reservation for
+  // all of it.
+  W.reserve(kReplyFixedBytes + Reply.Error.size() +
+            Reply.Pixels.size() * sizeof(float));
+  encodeRenderReplyFields(W, Reply);
+  W.writeF32Array(Reply.Pixels.data(), Reply.Pixels.size());
+}
+
+bool dspec::decodeRenderReply(ByteReader &R, RenderReply &Out,
+                              std::string *Error) {
+  uint32_t NumFloats = decodeRenderReplyFields(R, Out);
   if (NumFloats * sizeof(float) > R.remaining())
     R.fail("pixel payload truncated");
   Out.Pixels.clear();
@@ -227,20 +253,58 @@ bool dspec::decodeRenderDone(ByteReader &R, RenderStreamDone &Out,
 // Framing
 //===----------------------------------------------------------------------===//
 
-void dspec::appendFrame(std::vector<unsigned char> &Out, FrameType Type,
-                        const unsigned char *Payload, size_t Size) {
-  unsigned char Header[kFrameHeaderBytes] = {};
-  auto PutU32 = [&Header](size_t At, uint32_t V) {
+namespace {
+
+/// Writes a frame header for a \p Size-byte payload with CRC \p Crc.
+void putFrameHeader(unsigned char *Header, FrameType Type, size_t Size,
+                    uint32_t Crc) {
+  auto PutU32 = [Header](size_t At, uint32_t V) {
     for (int I = 0; I < 4; ++I)
       Header[At + I] = static_cast<unsigned char>(V >> (8 * I));
   };
+  std::memset(Header, 0, kFrameHeaderBytes);
   PutU32(0, kFrameMagic);
   Header[4] = static_cast<unsigned char>(Type);
   PutU32(8, static_cast<uint32_t>(Size));
-  PutU32(12, crc32(Payload, Size));
+  PutU32(12, Crc);
+}
+
+} // namespace
+
+void dspec::appendFrame(std::vector<unsigned char> &Out, FrameType Type,
+                        const unsigned char *Payload, size_t Size) {
+  unsigned char Header[kFrameHeaderBytes];
+  putFrameHeader(Header, Type, Size, crc32(Payload, Size));
   reserveAppend(Out, sizeof(Header) + Size);
   Out.insert(Out.end(), Header, Header + sizeof(Header));
   Out.insert(Out.end(), Payload, Payload + Size);
+}
+
+void dspec::appendRenderReplyFrame(std::vector<unsigned char> &Out,
+                                   const RenderReply &Reply) {
+  const size_t PixelBytes = Reply.Pixels.size() * sizeof(float);
+  const size_t PayloadBytes =
+      kReplyFixedBytes + Reply.Error.size() + PixelBytes;
+  // Encode into Out itself: a placeholder header, the fields, the pixels.
+  ByteWriter W(std::move(Out));
+  const size_t HeaderAt = W.size();
+  const size_t FieldsAt = HeaderAt + kFrameHeaderBytes;
+  W.reserve(kFrameHeaderBytes + PayloadBytes);
+  const unsigned char Placeholder[kFrameHeaderBytes] = {};
+  W.writeBytes(Placeholder, sizeof(Placeholder));
+  encodeRenderReplyFields(W, Reply);
+  const size_t PixelsAt = W.size();
+  const uint32_t FieldsCrc =
+      crc32(W.bytes().data() + FieldsAt, PixelsAt - FieldsAt);
+  W.writeF32Array(Reply.Pixels.data(), Reply.Pixels.size());
+  Out = W.takeBytes();
+  // A PixelCrc covers the floats' in-memory bytes, which are the wire
+  // bytes only on a little-endian host.
+  const uint32_t PixelsCrc = Reply.PixelCrc && kHostIsLittleEndian
+                                 ? *Reply.PixelCrc
+                                 : crc32(Out.data() + PixelsAt, PixelBytes);
+  putFrameHeader(Out.data() + HeaderAt, FrameType::RenderReply, PayloadBytes,
+                 crc32Combine(FieldsCrc, PixelsCrc, PixelBytes));
 }
 
 std::vector<unsigned char>
@@ -256,9 +320,13 @@ bool dspec::writeFrame(Transport &T, FrameType Type,
   return T.writeAll(Frame.data(), Frame.size());
 }
 
-bool dspec::readFrame(Transport &T, FrameType &Type,
-                      std::vector<unsigned char> &Payload,
-                      std::string *Error) {
+namespace {
+
+/// Reads and validates one frame header: magic, type and the payload
+/// length bound, so no caller allocates for a corrupt length. Returns
+/// false on clean EOF (\p Error left empty) or with \p Error set.
+bool readFrameHeader(Transport &T, FrameType &Type, uint32_t &PayloadBytes,
+                     uint32_t &StoredCrc, std::string *Error) {
   if (Error)
     Error->clear(); // empty Error on return false means clean EOF
   unsigned char Header[kFrameHeaderBytes];
@@ -270,8 +338,8 @@ bool dspec::readFrame(Transport &T, FrameType &Type,
   R.readU8();
   R.readU8();
   R.readU8();
-  uint32_t PayloadBytes = R.readU32();
-  uint32_t StoredCrc = R.readU32();
+  PayloadBytes = R.readU32();
+  StoredCrc = R.readU32();
   if (Magic != kFrameMagic) {
     if (Error)
       *Error = "bad frame magic";
@@ -290,19 +358,123 @@ bool dspec::readFrame(Transport &T, FrameType &Type,
                "-byte limit";
     return false;
   }
+  Type = static_cast<FrameType>(RawType);
+  return true;
+}
+
+constexpr const char *kTruncatedPayload = "frame payload truncated";
+constexpr const char *kCrcMismatch = "frame payload CRC mismatch";
+
+/// Reads the \p PayloadBytes-byte payload after a validated header and
+/// checks it against \p StoredCrc.
+bool readFramePayload(Transport &T, uint32_t PayloadBytes,
+                      uint32_t StoredCrc, std::vector<unsigned char> &Payload,
+                      std::string *Error) {
   Payload.resize(PayloadBytes);
   if (PayloadBytes > 0 && !T.readAll(Payload.data(), PayloadBytes)) {
     if (Error)
-      *Error = "frame payload truncated";
+      *Error = kTruncatedPayload;
     return false;
   }
   if (crc32(Payload.data(), Payload.size()) != StoredCrc) {
     if (Error)
-      *Error = "frame payload CRC mismatch";
+      *Error = kCrcMismatch;
     return false;
   }
-  Type = static_cast<FrameType>(RawType);
   return true;
+}
+
+/// Reads a RenderReply payload of \p PayloadBytes off \p T with no
+/// payload buffer: the fields, then the floats straight into
+/// Reply.Pixels, folding every chunk into the CRC as it lands. Makes
+/// the checks readFrame and decodeRenderReply make, and one more: the
+/// floats must end the payload.
+std::optional<RenderReply> receiveRenderReply(Transport &T,
+                                              uint32_t PayloadBytes,
+                                              uint32_t StoredCrc,
+                                              std::string *Error) {
+  auto Fail = [Error](std::string Why) -> std::optional<RenderReply> {
+    if (Error)
+      *Error = std::move(Why);
+    return std::nullopt;
+  };
+  size_t Remaining = PayloadBytes;
+  uint32_t Crc = 0;
+  auto Take = [&](void *Into, size_t Bytes) {
+    if (Bytes > 0 && !T.readAll(Into, Bytes))
+      return false;
+    Crc = crc32(Into, Bytes, Crc);
+    Remaining -= Bytes;
+    return true;
+  };
+
+  // Status and error length first, then the error text and the fixed
+  // fields after it, never reading past the payload.
+  std::vector<unsigned char> Fields(
+      std::min(Remaining, kReplyFieldsBeforeError));
+  if (!Take(Fields.data(), Fields.size()))
+    return Fail(kTruncatedPayload);
+  uint64_t ErrorBytes = 0;
+  if (Fields.size() == kReplyFieldsBeforeError) {
+    ByteReader Peek(Fields);
+    Peek.readU8();
+    ErrorBytes = Peek.readU32();
+    if (ErrorBytes > Remaining)
+      return Fail("render reply: error text of " +
+                  std::to_string(ErrorBytes) + " bytes runs past the " +
+                  std::to_string(PayloadBytes) + "-byte payload");
+  }
+  const size_t Rest = std::min<size_t>(
+      Remaining, static_cast<size_t>(ErrorBytes) + kReplyFieldsAfterError);
+  Fields.resize(Fields.size() + Rest);
+  if (!Take(Fields.data() + Fields.size() - Rest, Rest))
+    return Fail(kTruncatedPayload);
+
+  RenderReply Reply;
+  ByteReader R(Fields);
+  const uint32_t NumFloats = decodeRenderReplyFields(R, Reply);
+  if (R.ok() && static_cast<uint64_t>(NumFloats) * sizeof(float) != Remaining)
+    R.fail(static_cast<uint64_t>(NumFloats) * sizeof(float) > Remaining
+               ? "pixel payload truncated"
+               : "pixel payload does not end the frame (" +
+                     std::to_string(Remaining) + " bytes left for " +
+                     std::to_string(NumFloats) + " floats)");
+  if (!R.ok())
+    return Fail("render reply: " + R.error());
+
+  // The count now equals both W*H*3 and the bytes left, which the frame
+  // length bounds, so the allocation is the payload's own size. The
+  // chunks are small enough to be still in cache for their CRC.
+  Reply.Pixels.resize(NumFloats);
+  auto *Dest = reinterpret_cast<unsigned char *>(Reply.Pixels.data());
+  constexpr size_t kChunkBytes = 64 << 10;
+  while (Remaining > 0) {
+    size_t Chunk = std::min(Remaining, kChunkBytes);
+    if (!Take(Dest, Chunk))
+      return Fail(kTruncatedPayload);
+    Dest += Chunk;
+  }
+  if (Crc != StoredCrc)
+    return Fail(kCrcMismatch);
+  if constexpr (!kHostIsLittleEndian) {
+    // The bytes landed in wire (little-endian) order.
+    ByteReader Wire(reinterpret_cast<unsigned char *>(Reply.Pixels.data()),
+                    static_cast<size_t>(NumFloats) * sizeof(float));
+    std::vector<float> Host(NumFloats);
+    Wire.readF32Array(Host.data(), NumFloats);
+    Reply.Pixels = std::move(Host);
+  }
+  return Reply;
+}
+
+} // namespace
+
+bool dspec::readFrame(Transport &T, FrameType &Type,
+                      std::vector<unsigned char> &Payload,
+                      std::string *Error) {
+  uint32_t PayloadBytes = 0, StoredCrc = 0;
+  return readFrameHeader(T, Type, PayloadBytes, StoredCrc, Error) &&
+         readFramePayload(T, PayloadBytes, StoredCrc, Payload, Error);
 }
 
 std::optional<RenderReply> dspec::requestRender(Transport &T,
@@ -322,26 +494,26 @@ std::optional<RenderReply> dspec::requestRender(Transport &T,
   uint32_t Partials = 0;
   for (;;) {
     FrameType Type;
+    uint32_t PayloadBytes = 0, StoredCrc = 0;
     std::vector<unsigned char> Payload;
     std::string FrameError;
-    if (!readFrame(T, Type, Payload, &FrameError)) {
+    if (!readFrameHeader(T, Type, PayloadBytes, StoredCrc, &FrameError)) {
       if (Error)
         *Error = FrameError.empty() ? "connection closed before the reply"
                                     : FrameError;
       return std::nullopt;
     }
-    ByteReader R(Payload);
     if (Type == FrameType::RenderReply) {
       if (Partials != 0) {
         if (Error)
           *Error = "plain reply arrived inside a streamed reply";
         return std::nullopt;
       }
-      RenderReply Reply;
-      if (!decodeRenderReply(R, Reply, Error))
-        return std::nullopt;
-      return Reply;
+      return receiveRenderReply(T, PayloadBytes, StoredCrc, Error);
     }
+    if (!readFramePayload(T, PayloadBytes, StoredCrc, Payload, Error))
+      return std::nullopt;
+    ByteReader R(Payload);
     if (Type == FrameType::RenderPartial) {
       RenderPartialChunk Chunk;
       if (!decodeRenderPartial(R, Chunk, Error))

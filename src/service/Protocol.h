@@ -144,6 +144,11 @@ struct RenderReply {
   bool CacheHit = false;
   /// Server-side latency, submission to completion, in microseconds.
   uint64_t ServiceMicros = 0;
+  /// crc32 of Pixels' bytes, when whoever filled Pixels computed it on
+  /// the way (the service gets it from RenderEngine::readerPassRGB's
+  /// tile CRCs). appendRenderReplyFrame then frames the reply without
+  /// another pass over the pixels. Not part of the wire format.
+  std::optional<uint32_t> PixelCrc;
 
   bool ok() const { return Status == RenderStatus::Ok; }
 
@@ -207,10 +212,19 @@ uint32_t pixelCrc(const std::vector<float> &Pixels);
 
 /// Appends one frame to \p Out: the header (magic, type, payload length,
 /// payload CRC) and then the \p Size payload bytes, growing \p Out once.
-/// The one place frames are built — encodeFrame, writeFrame and the event
-/// loop's write backlog (net/Conn) all go through it.
+/// encodeFrame, writeFrame and the event loop's write backlog (net/Conn)
+/// go through it, or through appendRenderReplyFrame for render replies.
 void appendFrame(std::vector<unsigned char> &Out, FrameType Type,
                  const unsigned char *Payload, size_t Size);
+
+/// Appends \p Reply's RenderReply frame to \p Out, byte for byte
+/// encodeFrame(RenderReply, encodeRenderReply(Reply)), but encoding
+/// straight into \p Out with one copy of the pixels. The frame CRC is
+/// crc32Combine(crc32(fields), Reply.PixelCrc, pixel bytes), so with a
+/// PixelCrc there is no CRC pass over the pixels; without one the pixels
+/// are checksummed here.
+void appendRenderReplyFrame(std::vector<unsigned char> &Out,
+                            const RenderReply &Reply);
 
 /// Wraps \p Payload in a frame header (magic, type, length, CRC).
 std::vector<unsigned char> encodeFrame(FrameType Type,
@@ -229,6 +243,12 @@ bool readFrame(Transport &T, FrameType &Type,
 /// Client convenience: send a render request, wait for the reply.
 /// Nullopt with \p Error set on transport/protocol failure (a rejected
 /// request is a *successful* round trip carrying a non-Ok status).
+///
+/// A RenderReply frame is read without a payload buffer: the fields
+/// first, then, once the float count is known to equal both W*H*3 and
+/// the bytes left in the frame, the floats straight into Reply.Pixels in
+/// bounded chunks, each folded into the frame CRC as it lands. The CRC
+/// is checked before the reply is returned.
 std::optional<RenderReply> requestRender(Transport &T,
                                          const RenderRequest &Request,
                                          std::string *Error);

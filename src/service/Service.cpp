@@ -336,18 +336,21 @@ UnitPtr SpecializationService::loadOrBuildUnit(const Pending &P,
 void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
                                    bool CacheHit, RenderEngine &Engine) {
   // The reader writes the reply payload itself: 3 floats per pixel, no
-  // Framebuffer of Values in between.
+  // Framebuffer of Values in between. Its workers also checksum what
+  // they wrote, so the front end frames the reply without a CRC pass.
   RenderReply Reply;
   Reply.Width = P.Request.Width;
   Reply.Height = P.Request.Height;
   Reply.Pixels.resize(static_cast<size_t>(Reply.Width) * Reply.Height * 3);
+  uint32_t PixelCrc = 0;
   if (!Engine.readerPassRGB(Unit->Reader, Unit->Grid, P.Request.Controls,
-                            Unit->Arena, Reply.Pixels.data())) {
+                            Unit->Arena, Reply.Pixels.data(), &PixelCrc)) {
     Metrics.recordRenderTrap(secondsSince(P.Enqueued));
     reject(P, RenderStatus::RenderTrap,
            "reader pass trapped: " + Engine.lastTrap());
     return;
   }
+  Reply.PixelCrc = PixelCrc;
   Reply.CacheHit = CacheHit;
   double Latency = secondsSince(P.Enqueued);
   Reply.ServiceMicros = static_cast<uint64_t>(Latency * 1e6);

@@ -51,6 +51,12 @@ inline void reserveAppend(std::vector<unsigned char> &Buffer, size_t Bytes) {
 /// Appends little-endian fields to a byte buffer.
 class ByteWriter {
 public:
+  ByteWriter() = default;
+  /// Appends after the bytes already in \p Existing (takeBytes hands the
+  /// buffer back), so a frame can be encoded into a reused buffer.
+  explicit ByteWriter(std::vector<unsigned char> Existing)
+      : Buffer(std::move(Existing)) {}
+
   /// Reserves room for \p Bytes more bytes, so a caller that knows its
   /// encoded size grows the buffer once.
   void reserve(size_t Bytes) { reserveAppend(Buffer, Bytes); }

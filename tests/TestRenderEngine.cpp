@@ -12,10 +12,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Pipeline.h"
 #include "engine/CacheArena.h"
 #include "engine/RenderEngine.h"
 #include "engine/ThreadPool.h"
 #include "shading/ShaderLab.h"
+#include "support/Crc32.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -298,6 +300,95 @@ TEST(RenderEngineTest, TrapReportsLowestPixelAtEveryThreadCount) {
     else
       EXPECT_EQ(Engine.lastTrap(), FirstMessage)
           << "trap message varies with " << Threads << " threads";
+  }
+}
+
+/// readerPassRGB's checksum is crc32 of the RGB bytes it wrote, whichever
+/// tier ran the tiles, however many workers wrote them, whether the last
+/// tile or run is short, and when tiles bail out of the batch to the
+/// per-pixel fallback.
+TEST(RenderEngineTest, ReaderPassRGBChecksumIsCrcOfTheBytes) {
+  // The loop's trip count depends on uv and the varying control, so
+  // batched tiles that straddle uv.x == t diverge and re-run per-pixel.
+  const char *Source = R"(
+vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
+  int n = 1;
+  if (uv.x > t) { n = 3; }
+  float v = 0.0;
+  int i = 0;
+  while (i < n) {
+    v = v + uv.y + 0.125;
+    i = i + 1;
+  }
+  return vec3(v, v * 0.25, uv.x + P.y);
+}
+)";
+  auto Unit = parseUnit(Source);
+  ASSERT_TRUE(Unit->ok()) << Unit->Diags.str();
+  auto Spec = specializeAndCompile(*Unit, "loopy", {"t"});
+  ASSERT_TRUE(Spec.has_value());
+  const std::vector<float> Controls = {0.45f};
+
+  struct Size {
+    unsigned W, H, TilePixels;
+  };
+  // 7-pixel tiles: a checksummed run of many tiles ends mid-row.
+  for (Size Grid : {Size{640, 480, 128}, Size{641, 479, 128},
+                    Size{641, 479, 7}, Size{1, 1, 128}}) {
+    RenderGrid G(Grid.W, Grid.H);
+    // The arena is plain memory; one loader pass serves every reader.
+    CacheArena Arena;
+    RenderEngine Loader(4);
+    ASSERT_TRUE(Loader.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, G,
+                                  Controls, Arena))
+        << Loader.lastTrap();
+    for (ExecTier Tier :
+         {ExecTier::Switch, ExecTier::Threaded, ExecTier::Batched})
+      for (unsigned Threads : {1u, 4u}) {
+        RenderEngine Engine(Threads, Grid.TilePixels);
+        Engine.setExecTier(Tier);
+        const std::string Tag = std::to_string(Grid.W) + "x" +
+                                std::to_string(Grid.H) + "/" +
+                                std::to_string(Grid.TilePixels) + "px " +
+                                execTierName(Tier) + " @" +
+                                std::to_string(Threads) + "t";
+        std::vector<float> RGB(G.pixelCount() * 3);
+        uint32_t Crc = 0;
+        ASSERT_TRUE(Engine.readerPassRGB(Spec->ReaderChunk, G, Controls,
+                                         Arena, RGB.data(), &Crc))
+            << Tag << ": " << Engine.lastTrap();
+        EXPECT_EQ(Crc, crc32(RGB.data(), RGB.size() * sizeof(float))) << Tag;
+        if (Tier == ExecTier::Batched && G.pixelCount() > 1) {
+          EXPECT_GT(Engine.lastPassStats().BailedTiles, 0u)
+              << Tag << ": no tile took the per-pixel fallback";
+        }
+      }
+  }
+}
+
+/// A pass that traps leaves the checksum untouched.
+TEST(RenderEngineTest, TrappingPassWritesNoChecksum) {
+  Chunk Bad;
+  Bad.Name = "bad";
+  Bad.NumParams = 4;
+  Bad.LocalTypes = {TypeKind::TK_Vec2, TypeKind::TK_Vec3, TypeKind::TK_Vec3,
+                    TypeKind::TK_Vec3};
+  Bad.ReturnType = Type(TypeKind::TK_Float);
+  Bad.Code = {{OpCode::OC_CacheLoad, 0, 96,
+               static_cast<int32_t>(TypeKind::TK_Float)},
+              {OpCode::OC_Return, 0, 0, 0}};
+  Bad.CacheSlotCount = 1;
+  Bad.CacheBytes = 4;
+  CacheLayout Layout;
+  Layout.addSlot(Type(TypeKind::TK_Float));
+  RenderGrid Grid(8, 8);
+  CacheArena Arena(Grid.pixelCount(), Layout);
+  std::vector<float> RGB(Grid.pixelCount() * 3);
+  for (unsigned Threads : {1u, 4u}) {
+    RenderEngine Engine(Threads, 16);
+    uint32_t Crc = 0xC0FFEEu;
+    EXPECT_FALSE(Engine.readerPassRGB(Bad, Grid, {}, Arena, RGB.data(), &Crc));
+    EXPECT_EQ(Crc, 0xC0FFEEu);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "shading/ShaderGallery.h"
 #include "shading/ShaderLab.h"
 #include "support/ByteStream.h"
+#include "support/Crc32.h"
 
 #include <gtest/gtest.h>
 
@@ -224,6 +225,199 @@ TEST(ServiceProtocol, FrameRejectsCorruption) {
   Error = "sentinel";
   EXPECT_FALSE(readFrame(*S3, Type, Got, &Error));
   EXPECT_TRUE(Error.empty());
+}
+
+/// A reply with \p Width x \p Height seeded pixels, NaN payloads and
+/// signed zeros among them.
+RenderReply seededReply(uint32_t Width, uint32_t Height) {
+  RenderReply Reply;
+  Reply.Width = Width;
+  Reply.Height = Height;
+  Reply.CacheHit = true;
+  Reply.ServiceMicros = 4242;
+  Reply.Pixels.resize(static_cast<size_t>(Width) * Height * 3);
+  uint32_t State = 17;
+  for (float &V : Reply.Pixels) {
+    State = State * 1664525u + 1013904223u;
+    V = floatFromBits(State);
+  }
+  if (!Reply.Pixels.empty()) {
+    Reply.Pixels.front() = -0.0f;
+    Reply.Pixels.back() = floatFromBits(0x7FC0BEEFu);
+  }
+  return Reply;
+}
+
+/// The frame the encoder-then-framer route produces for \p Reply.
+std::vector<unsigned char> encodedReplyFrame(const RenderReply &Reply) {
+  ByteWriter W;
+  encodeRenderReply(W, Reply);
+  return encodeFrame(FrameType::RenderReply, W.bytes());
+}
+
+TEST(ServiceProtocol, DirectReplyFrameEqualsEncodeFrame) {
+  RenderReply Ok = seededReply(37, 11);
+  RenderReply OkWithCrc = Ok;
+  OkWithCrc.PixelCrc = pixelCrc(Ok.Pixels);
+  RenderReply Error;
+  Error.Status = RenderStatus::ShedDeadline;
+  Error.Error = "deadline of 5ms exceeded while queued";
+  Error.Width = 640;
+  Error.Height = 480;
+  Error.ServiceMicros = 7;
+  RenderReply ZeroPixels; // Ok, 0x0
+  ZeroPixels.PixelCrc = 0;
+
+  const std::vector<unsigned char> Backlog = {0xAB, 0xCD, 0xEF};
+  for (const RenderReply *Reply : {&Ok, &OkWithCrc, &Error, &ZeroPixels}) {
+    const std::vector<unsigned char> Want = encodedReplyFrame(*Reply);
+    std::vector<unsigned char> Direct;
+    appendRenderReplyFrame(Direct, *Reply);
+    EXPECT_EQ(Direct, Want) << renderStatusName(Reply->Status) << ", "
+                            << Reply->Pixels.size() << " floats";
+    // Appending after bytes already queued leaves them alone.
+    std::vector<unsigned char> Queued = Backlog;
+    appendRenderReplyFrame(Queued, *Reply);
+    ASSERT_EQ(Queued.size(), Backlog.size() + Want.size());
+    EXPECT_TRUE(std::equal(Backlog.begin(), Backlog.end(), Queued.begin()));
+    EXPECT_TRUE(std::equal(Want.begin(), Want.end(),
+                           Queued.begin() + Backlog.size()));
+  }
+
+  // The frame CRC comes from PixelCrc, not from another pass over the
+  // pixels: a wrong one makes a frame that fails its CRC check.
+  RenderReply Lying = OkWithCrc;
+  *Lying.PixelCrc ^= 1;
+  std::vector<unsigned char> Bad;
+  appendRenderReplyFrame(Bad, Lying);
+  auto [Reader, Writer] = makeLoopbackPair();
+  ASSERT_TRUE(Writer->writeAll(Bad.data(), Bad.size()));
+  FrameType Type;
+  std::vector<unsigned char> Payload;
+  std::string Why;
+  EXPECT_FALSE(readFrame(*Reader, Type, Payload, &Why));
+  EXPECT_NE(Why.find("CRC"), std::string::npos) << Why;
+}
+
+/// requestRender against a peer that reads the request, answers with
+/// exactly \p Bytes and hangs up.
+std::optional<RenderReply>
+requestAgainst(const std::vector<unsigned char> &Bytes, std::string &Error) {
+  auto Pair = makeLoopbackPair();
+  Transport *Client = Pair.first.get();
+  Transport *Peer = Pair.second.get();
+  std::thread Server([Peer, &Bytes] {
+    FrameType Type;
+    std::vector<unsigned char> Request;
+    std::string Why;
+    if (readFrame(*Peer, Type, Request, &Why))
+      Peer->writeAll(Bytes.data(), Bytes.size());
+    Peer->shutdown();
+  });
+  RenderRequest Request;
+  Request.Shader = "plastic";
+  std::optional<RenderReply> Reply = requestRender(*Client, Request, &Error);
+  Server.join();
+  return Reply;
+}
+
+TEST(ServiceProtocol, ClientReadsReplyStraightIntoPixels) {
+  RenderReply Error;
+  Error.Status = RenderStatus::BadRequest;
+  Error.Error = "no gallery shader named 'nope'";
+  RenderReply Empty; // Ok, 0x0
+  for (const RenderReply &Want : {seededReply(64, 48), Error, Empty}) {
+    std::string Why;
+    std::optional<RenderReply> Got =
+        requestAgainst(encodedReplyFrame(Want), Why);
+    ASSERT_TRUE(Got.has_value()) << Why;
+    EXPECT_EQ(Got->Status, Want.Status);
+    EXPECT_EQ(Got->Error, Want.Error);
+    EXPECT_EQ(Got->Width, Want.Width);
+    EXPECT_EQ(Got->Height, Want.Height);
+    EXPECT_EQ(Got->CacheHit, Want.CacheHit);
+    EXPECT_EQ(Got->ServiceMicros, Want.ServiceMicros);
+    ASSERT_EQ(Got->Pixels.size(), Want.Pixels.size());
+    if (!Want.Pixels.empty()) {
+      EXPECT_EQ(std::memcmp(Got->Pixels.data(), Want.Pixels.data(),
+                            Want.Pixels.size() * sizeof(float)),
+                0);
+    }
+  }
+}
+
+/// Little-endian u32 at \p At.
+void putU32(std::vector<unsigned char> &Bytes, size_t At, uint32_t V) {
+  for (int I = 0; I < 4; ++I)
+    Bytes[At + I] = static_cast<unsigned char>(V >> (8 * I));
+}
+
+TEST(ServiceProtocol, ClientRejectsMalformedReplies) {
+  // Offsets into a reply payload with an empty error text.
+  constexpr size_t ErrorLengthAt = 1, WidthAt = 5, HeightAt = 9,
+                   FloatCountAt = 22, PixelsAt = 26;
+  const RenderReply Good = seededReply(16, 12);
+  ByteWriter GoodPayload;
+  encodeRenderReply(GoodPayload, Good);
+
+  struct Case {
+    const char *What;
+    std::vector<unsigned char> Bytes;
+    const char *Diagnostic;
+  };
+  std::vector<Case> Cases;
+
+  std::vector<unsigned char> Frame = encodedReplyFrame(Good);
+  Cases.push_back({"truncated mid-pixels",
+                   std::vector<unsigned char>(Frame.begin(),
+                                              Frame.end() - 101),
+                   "truncated"});
+  Frame.back() ^= 0x01;
+  Cases.push_back({"last pixel byte flipped", Frame, "CRC mismatch"});
+
+  // Counts that, if trusted, would allocate gigabytes: the float count
+  // disagrees with W*H*3, or agrees with it but not with the bytes left.
+  std::vector<unsigned char> Payload = GoodPayload.bytes();
+  putU32(Payload, WidthAt, 65535);
+  putU32(Payload, HeightAt, 65535);
+  Cases.push_back({"float count != W*H*3",
+                   encodeFrame(FrameType::RenderReply, Payload),
+                   "does not match the image dimensions"});
+  Payload = GoodPayload.bytes();
+  putU32(Payload, WidthAt, 1431655765);
+  putU32(Payload, HeightAt, 1);
+  putU32(Payload, FloatCountAt, 0xFFFFFFFFu);
+  Cases.push_back({"float count past the frame",
+                   encodeFrame(FrameType::RenderReply, Payload),
+                   "pixel payload truncated"});
+  Payload = GoodPayload.bytes();
+  Payload.insert(Payload.end(), {0, 0, 0, 0});
+  Cases.push_back({"float count short of the frame",
+                   encodeFrame(FrameType::RenderReply, Payload),
+                   "does not end the frame"});
+
+  Payload = GoodPayload.bytes();
+  putU32(Payload, ErrorLengthAt, 0xFFFFFFF0u);
+  Cases.push_back({"error length past the payload",
+                   encodeFrame(FrameType::RenderReply, Payload),
+                   "runs past"});
+  Payload.assign(GoodPayload.bytes().begin(),
+                 GoodPayload.bytes().begin() + PixelsAt - 10);
+  Cases.push_back({"payload ends inside the fields",
+                   encodeFrame(FrameType::RenderReply, Payload),
+                   "unexpected end of data"});
+
+  Frame = encodedReplyFrame(Good);
+  putU32(Frame, 8, kMaxFramePayload + 1);
+  Cases.push_back({"length over kMaxFramePayload", Frame, "exceeds"});
+
+  for (const Case &C : Cases) {
+    std::string Why;
+    std::optional<RenderReply> Got = requestAgainst(C.Bytes, Why);
+    EXPECT_FALSE(Got.has_value()) << C.What;
+    EXPECT_NE(Why.find(C.Diagnostic), std::string::npos)
+        << C.What << ": " << Why;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -208,6 +208,70 @@ TEST(Crc32, SeedChainsAcrossEverySplit) {
   }
 }
 
+TEST(Crc32, InterleavedStreamsMatchByteAtATime) {
+  // Long inputs run as three interleaved streams joined by crc32Combine;
+  // lengths around the 16 KiB switch-over, thirds that are not multiples
+  // of eight, every misalignment, and a seed carried in.
+  std::vector<unsigned char> Bytes = crcTestBytes(100003 + 8);
+  for (size_t Length : {size_t(16383), size_t(16384), size_t(16385),
+                        size_t(16391), size_t(3 * 16384 + 5), size_t(100003)})
+    for (size_t Offset = 0; Offset < 8; ++Offset) {
+      const unsigned char *At = Bytes.data() + Offset;
+      EXPECT_EQ(crc32(At, Length), referenceCrc32(At, Length))
+          << "offset " << Offset << ", length " << Length;
+      EXPECT_EQ(crc32(At, Length, 0x9E3779B9u),
+                referenceCrc32(At, Length, 0x9E3779B9u))
+          << "seeded, offset " << Offset << ", length " << Length;
+    }
+}
+
+TEST(Crc32, CombineMatchesSerialAtEverySplit) {
+  // Every split of a short buffer, through both the general combine and
+  // the precomputed shift for the second range's length.
+  std::vector<unsigned char> Small = crcTestBytes(300);
+  const uint32_t SmallWhole = crc32(Small.data(), Small.size());
+  for (size_t Split = 0; Split <= Small.size(); ++Split) {
+    uint32_t A = crc32(Small.data(), Split);
+    uint32_t B = crc32(Small.data() + Split, Small.size() - Split);
+    EXPECT_EQ(crc32Combine(A, B, Small.size() - Split), SmallWhole)
+        << "split at " << Split;
+    Crc32Shift Shift(Small.size() - Split);
+    EXPECT_EQ(Shift.size(), Small.size() - Split);
+    EXPECT_EQ(Shift.combine(A, B), SmallWhole) << "split at " << Split;
+  }
+
+  // Zero lengths on either side: an empty range's CRC is 0 and drops out.
+  EXPECT_EQ(crc32Combine(SmallWhole, 0, 0), SmallWhole);
+  EXPECT_EQ(crc32Combine(0, SmallWhole, Small.size()), SmallWhole);
+  EXPECT_EQ(Crc32Shift(0).combine(SmallWhole, 0), SmallWhole);
+  EXPECT_EQ(crc32Combine(0, 0, 0), 0u);
+
+  // A 640x480 reply's worth of bytes (3,686,400), seeded random splits,
+  // plus a tile-sized chain combined the way the render engine does.
+  std::vector<unsigned char> Big = crcTestBytes(640 * 480 * 12);
+  const uint32_t BigWhole = crc32(Big.data(), Big.size());
+  EXPECT_EQ(BigWhole, referenceCrc32(Big.data(), Big.size()));
+  uint32_t State = 961;
+  for (int Trial = 0; Trial < 24; ++Trial) {
+    State = State * 1664525u + 1013904223u;
+    size_t Split = State % (Big.size() + 1);
+    uint32_t A = crc32(Big.data(), Split);
+    uint32_t B = crc32(Big.data() + Split, Big.size() - Split);
+    EXPECT_EQ(crc32Combine(A, B, Big.size() - Split), BigWhole)
+        << "split at " << Split;
+  }
+  const size_t Piece = 128 * 12;
+  Crc32Shift PieceShift(Piece);
+  uint32_t Chained = 0;
+  for (size_t At = 0; At < Big.size(); At += Piece) {
+    size_t Len = std::min(Piece, Big.size() - At);
+    uint32_t C = crc32(Big.data() + At, Len);
+    Chained = Len == Piece ? PieceShift.combine(Chained, C)
+                           : crc32Combine(Chained, C, Len);
+  }
+  EXPECT_EQ(Chained, BigWhole);
+}
+
 //===----------------------------------------------------------------------===//
 // AlignedAllocator: heap below kDirectMapBytes, mmap at and above it
 //===----------------------------------------------------------------------===//
