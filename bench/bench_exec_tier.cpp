@@ -6,23 +6,23 @@
 ///
 /// \file
 /// Measures the reader pass of every gallery shader under the engine's
-/// three execution tiers:
+/// two execution tiers:
 ///
 ///   switch     the classic per-pixel switch interpreter (VM::run);
-///   threaded   per-pixel direct-threaded dispatch over the decoded,
-///              superinstruction-fused ExecChunk;
-///   batched    one instruction dispatch executes a whole tile of pixels
-///              against strided CacheArena slots; uniform branches run
-///              in lockstep, divergent maskable diamonds run both arms
-///              under per-lane masks, and a tile diverging at an
-///              unmaskable branch re-runs per-pixel threaded.
+///   batched    one dispatch of the decoded, superinstruction-fused
+///              ExecChunk executes a whole tile of pixels against strided
+///              CacheArena slots; uniform branches run in lockstep,
+///              divergent maskable diamonds run both arms under per-lane
+///              masks, and a tile diverging at an unmaskable branch
+///              re-runs per-pixel on the switch tier.
 ///
-/// All tiers render bit-identical framebuffers (tests/TestExecTiers.cpp),
+/// Both tiers render bit-identical framebuffers (tests/TestExecTiers.cpp),
 /// so the only difference is speed. Emits one row per (shader, tier) with
-/// the p50 reader frame time, the speedup over the switch tier, and — for
-/// the batched tier — the average active-lane fraction per dispatched
-/// instruction (the divergence column) into BENCH_exec.json. The smoke
-/// gate in CI reads the clouds row's speedup_vs_switch.
+/// the p50 reader frame time and its quartiles, the speedup over the
+/// switch tier, and — for the batched tier — the average active-lane
+/// fraction per dispatched instruction (the divergence column) into
+/// BENCH_exec.json. The smoke gate in CI reads the clouds row's
+/// speedup_vs_switch.
 /// The google-benchmark section also times one noise(vec3) lane by lane
 /// and in 128-lane tiles (BM_Noise3).
 ///
@@ -49,28 +49,30 @@ double timeSeconds(const std::function<void()> &Body) {
       .count();
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 struct TierRow {
   std::string Shader;
   const char *Tier = "";
   double P50Seconds = 0.0;
+  /// First and third quartiles of the frame times: the spread around p50.
+  double Q1Seconds = 0.0;
+  double Q3Seconds = 0.0;
   double PixelsPerSecond = 0.0;
   double SpeedupVsSwitch = 1.0;
   /// Average active-lane fraction per dispatched batch instruction over
-  /// the last frame (RenderEngine::PassExecStats). 1.0 on the scalar
-  /// tiers and for tiles that never engage a mask; below 1.0 means
+  /// the last frame (RenderEngine::PassExecStats). 1.0 on the switch
+  /// tier and for tiles that never engage a mask; below 1.0 means
   /// divergent diamonds ran masked.
   double ActiveLaneFraction = 1.0;
 };
 
 void printTierSweep(const char *OutPath) {
   banner("Execution tiers: reader p50 per gallery shader, "
-         "switch vs threaded vs batched",
-         "specializing the executor to the residual program — threaded "
-         "dispatch and pixel batching — multiplies the paper's reader "
-         "speedup without changing a single output bit");
+         "switch vs batched",
+         "specializing the executor to the residual program — pixel "
+         "batching — multiplies the paper's reader speedup without "
+         "changing a single output bit");
 
   ShaderLab Lab(benchWidth(), benchHeight(), benchFrames());
   const unsigned Frames = benchFrames();
@@ -116,7 +118,8 @@ void printTierSweep(const char *OutPath) {
         SwitchP50 = T;
       else if (Tier == ExecTier::Batched)
         BatchedP50 = T;
-      Rows.push_back({Info.Name, execTierName(Tier), T, Pixels / T,
+      Rows.push_back({Info.Name, execTierName(Tier), T,
+                      percentile(Times, 25), percentile(Times, 75), Pixels / T,
                       SwitchP50 > 0.0 ? SwitchP50 / T : 1.0,
                       Tier == ExecTier::Batched
                           ? Engine.lastPassStats().activeFraction()
@@ -129,13 +132,13 @@ void printTierSweep(const char *OutPath) {
 
   std::printf("%u shader(s), %ux%u pixels, p50 of %u frames, 1 thread:\n\n",
               Shaders, Lab.grid().width(), Lab.grid().height(), Frames);
-  std::printf("%-10s %-9s %12s %14s %11s %9s\n", "shader", "tier",
-              "frame us", "pixels/sec", "vs switch", "active");
+  std::printf("%-10s %-9s %12s %21s %14s %11s %9s\n", "shader", "tier",
+              "frame us", "q1-q3 us", "pixels/sec", "vs switch", "active");
   for (const TierRow &R : Rows)
-    std::printf("%-10s %-9s %12.1f %14.0f %10.2fx %8.1f%%\n",
+    std::printf("%-10s %-9s %12.1f %10.1f-%-10.1f %14.0f %10.2fx %8.1f%%\n",
                 R.Shader.c_str(), R.Tier, R.P50Seconds * 1e6,
-                R.PixelsPerSecond, R.SpeedupVsSwitch,
-                R.ActiveLaneFraction * 100.0);
+                R.Q1Seconds * 1e6, R.Q3Seconds * 1e6, R.PixelsPerSecond,
+                R.SpeedupVsSwitch, R.ActiveLaneFraction * 100.0);
   std::printf("\nbatched >= 2x switch on %u of %u shader(s)\n", BatchedWins,
               Shaders);
 
@@ -146,16 +149,17 @@ void printTierSweep(const char *OutPath) {
   Json.configUnsigned("threads", 1);
   Json.config("batched_2x_wins", std::to_string(BatchedWins));
   Json.configUnsigned("shaders", Shaders);
-  char Row[256];
+  char Row[320];
   for (const TierRow &R : Rows) {
     std::snprintf(Row, sizeof(Row),
                   "{\"shader\":%s,\"tier\":\"%s\","
-                  "\"p50_seconds\":%.9f,\"pixels_per_second\":%.1f,"
+                  "\"p50_seconds\":%.9f,\"q1_seconds\":%.9f,"
+                  "\"q3_seconds\":%.9f,\"pixels_per_second\":%.1f,"
                   "\"speedup_vs_switch\":%.3f,"
                   "\"avg_active_lane_fraction\":%.4f}",
                   jsonQuote(R.Shader).c_str(), R.Tier, R.P50Seconds,
-                  R.PixelsPerSecond, R.SpeedupVsSwitch,
-                  R.ActiveLaneFraction);
+                  R.Q1Seconds, R.Q3Seconds, R.PixelsPerSecond,
+                  R.SpeedupVsSwitch, R.ActiveLaneFraction);
     Json.addRow(Row);
   }
   Json.emit(OutPath);
@@ -178,11 +182,10 @@ void BM_ReaderFrameTier(benchmark::State &State) {
 BENCHMARK(BM_ReaderFrameTier)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 // Cost of one noise(vec3): Arg 0 calls perlinNoise3 lane by lane, as the
-// per-pixel tiers do; Arg 1 runs perlinNoise3Lanes over 128-lane tiles,
+// switch tier does; Arg 1 runs perlinNoise3Lanes over 128-lane tiles,
 // as the batched tier does. Inputs span many lattice cells of both signs.
 void BM_Noise3(benchmark::State &State) {
   const unsigned Tile = 128, Tiles = 64;

@@ -49,10 +49,10 @@ struct PixelInput {
 /// size — one per cached SpecializationUnit, snapshot warm start or
 /// shader lab — shares it. The data is 11 f32 columns (uv.xy, P.xyz,
 /// N.xyz, I.xyz), 44 B/px: the batched tier copies a tile's parameters
-/// straight out of them. The per-pixel tiers build one pixel's Values
-/// with pixel(). The intern table holds each entry by weak reference and
-/// drops it when the last grid of that size goes away, so the table
-/// never keeps data alive. Construction is thread-safe; concurrent
+/// straight out of them. The per-pixel switch tier builds one pixel's
+/// Values with pixel(). The intern table holds each entry by weak
+/// reference and drops it when the last grid of that size goes away, so
+/// the table never keeps data alive. Construction is thread-safe; concurrent
 /// constructions of one size build the data once.
 class RenderGrid {
 public:

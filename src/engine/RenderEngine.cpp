@@ -38,18 +38,18 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   const unsigned NumArgs =
       NumPixelParams + static_cast<unsigned>(Controls.size());
 
-  // Decode (and fuse) once per pass; the cost is one linear scan of the
-  // chunk, negligible against per-pixel execution, and rebuilding here
-  // is what keeps snapshots format-stable: files persist the plain Chunk
-  // and every load re-fuses. An invalid decode (hand-built or hostile
-  // bytecode) silently falls back to the switch tier, whose dynamic
-  // checks produce the canonical diagnostics. The batched tier needs
-  // every work tile inside one arena block; otherwise it runs threaded,
-  // which resolves the map per view.
+  // The batched tier decodes (and fuses) once per pass; the cost is one
+  // linear scan of the chunk, negligible against per-pixel execution,
+  // and rebuilding here is what keeps snapshots format-stable: files
+  // persist the plain Chunk and every load re-fuses. Every pixel the
+  // batched tier cannot take runs per-pixel on the switch tier, whose
+  // dynamic checks produce the canonical diagnostics: an invalid decode
+  // (hand-built or hostile bytecode), a chunk that is not BatchSafe, and
+  // an arena whose blocks a work tile would straddle (the switch tier
+  // resolves the map per view).
   ExecChunk Decoded;
-  if (Tier != ExecTier::Switch)
+  if (Tier == ExecTier::Batched)
     Decoded = buildExecChunk(Code);
-  const bool UseThreaded = Tier != ExecTier::Switch && Decoded.Valid;
   const bool UseBatched = Tier == ExecTier::Batched && Decoded.Valid &&
                           Decoded.BatchSafe &&
                           (!Arena || Arena->batchCompatible(TileSize));
@@ -94,11 +94,6 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
     const size_t Begin = Tile * TileSize;
     const size_t End = Begin + TileSize < Count ? Begin + TileSize : Count;
 
-    // Which scalar interpreter a per-pixel fallback uses: threaded by
-    // default; a real batch *trap* pins it to the classic switch so the
-    // reported message names the canonical lowest trapping pixel.
-    bool PerPixelThreaded = UseThreaded;
-
     if (UseBatched) {
       const unsigned Lanes = static_cast<unsigned>(End - Begin);
       // uv, P, N, I: columns UVX.. in order, widths 2, 3, 3, 3.
@@ -142,18 +137,12 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
         ++S.Stats.BatchTiles;
         return;
       }
-      if (R.Diverged) {
-        // Unmaskable control flow diverged across the tile's lanes — not
-        // an error. Re-run per-pixel on the threaded tier (bit-identical
-        // by construction, and much faster than the switch).
+      // Unmaskable control flow diverged across the tile's lanes (not
+      // an error), or the batch trapped, which carries no lane
+      // attribution: re-run the tile per-pixel on the switch tier, which
+      // is bit-identical and names the canonical lowest trapping pixel.
+      if (R.Diverged)
         ++S.Stats.BailedTiles;
-      } else {
-        // A batch trap carries no lane attribution: re-run the tile
-        // per-pixel through the classic switch interpreter so the
-        // canonical lowest-pixel diagnostic comes out identical to the
-        // scalar tiers.
-        PerPixelThreaded = false;
-      }
     }
 
     for (size_t Index = Begin; Index < End; ++Index) {
@@ -168,10 +157,8 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
           MutArena ? MutArena->view(static_cast<unsigned>(Index))
                    : (ROArena ? ROArena->view(static_cast<unsigned>(Index))
                               : CacheView());
-      ExecResult R = PerPixelThreaded
-                         ? Machine.runThreaded(Decoded, S.Args, View)
-                         : (Arena ? Machine.run(Code, S.Args, View)
-                                  : Machine.run(Code, S.Args));
+      ++S.Stats.PerPixelPixels;
+      ExecResult R = Machine.run(Code, S.Args, View);
       if (!R.ok()) {
         if (Index < S.TrapPixel) {
           S.TrapPixel = Index;
@@ -217,6 +204,7 @@ bool RenderEngine::runPass(const Chunk &Code, const RenderGrid &Grid,
   for (const WorkerState &S : States) {
     LastStats.BatchTiles += S.Stats.BatchTiles;
     LastStats.BailedTiles += S.Stats.BailedTiles;
+    LastStats.PerPixelPixels += S.Stats.PerPixelPixels;
     LastStats.BatchDispatchLanes += S.Stats.BatchDispatchLanes;
     LastStats.BatchActiveLanes += S.Stats.BatchActiveLanes;
   }

@@ -61,14 +61,13 @@ public:
   /// Selects how passes execute chunks. The default is Batched — the
   /// fastest tier — which degrades gracefully: branchy chunks execute
   /// batched under per-lane masks (uniform branches run in lockstep;
-  /// divergent maskable diamonds run both arms masked), a tile whose
-  /// control flow diverges at an unmaskable branch re-runs per-pixel on
-  /// the threaded tier, effectful chunks run per-pixel up front, and
-  /// chunks that fail decoding fall back to the classic switch
-  /// interpreter. Every tier produces bit-identical framebuffers
-  /// (tests/TestExecTiers.cpp pins this over the whole gallery); the
-  /// knob exists for A/B measurement (`bench_exec_tier`, `dspec serve
-  /// --exec-tier`).
+  /// divergent maskable diamonds run both arms masked), and everything
+  /// else runs per-pixel on the classic switch interpreter: a tile whose
+  /// control flow diverges at an unmaskable branch or traps, and every
+  /// pixel of a chunk that is not BatchSafe or fails decoding. Both
+  /// tiers produce bit-identical framebuffers (tests/TestExecTiers.cpp
+  /// pins this over the whole gallery); the knob exists for A/B
+  /// measurement (`bench_exec_tier`, `dspec serve --exec-tier`).
   void setExecTier(ExecTier NewTier) { Tier = NewTier; }
   ExecTier execTier() const { return Tier; }
 
@@ -82,11 +81,15 @@ public:
   const ArenaLayoutConfig &arenaLayout() const { return ArenaCfg; }
 
   /// Execution statistics of the last completed pass; the batch figures
-  /// cover runBatch attempts only (zero under the scalar tiers), so the
+  /// cover runBatch attempts only (zero under the switch tier), so the
   /// exec-tier bench can report a divergence column.
   struct PassExecStats {
     uint64_t BatchTiles = 0;  ///< tiles fully retired by runBatch
     uint64_t BailedTiles = 0; ///< tiles that diverged and re-ran per-pixel
+    /// Pixels executed per-pixel on the switch interpreter rather than
+    /// by runBatch, for any reason: the switch tier, a chunk or arena
+    /// the batched tier cannot take, a bailed or trapping tile.
+    uint64_t PerPixelPixels = 0;
     uint64_t BatchDispatchLanes = 0; ///< sum over tiles: dispatches x lanes
     uint64_t BatchActiveLanes = 0;   ///< sum: active-lane instructions
     /// Average active-lane fraction per dispatched batch instruction

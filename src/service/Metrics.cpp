@@ -54,6 +54,12 @@ std::string MetricsSnapshot::toJson() const {
         static_cast<unsigned long long>(ExecTiers[I].second));
   }
   TiersJson += "}";
+  std::string EngineJson = formatString(
+      "\"engine\":{\"batch_tiles\":%llu,\"bailed_tiles\":%llu,"
+      "\"per_pixel_pixels\":%llu}",
+      static_cast<unsigned long long>(Engine.BatchTiles),
+      static_cast<unsigned long long>(Engine.BailedTiles),
+      static_cast<unsigned long long>(Engine.PerPixelPixels));
   std::string SpillJson;
   if (SpillEnabled)
     SpillJson = formatString(
@@ -89,6 +95,7 @@ std::string MetricsSnapshot::toJson() const {
       "\"variants\":%s,"
       "\"exec_tiers\":%s,"
       "%s,"
+      "%s,"
       "\"queue_depth\":%llu,"
       "\"latency_seconds\":{\"samples\":%llu,\"p50\":%.9f,\"p95\":%.9f,"
       "\"p99\":%.9f}%s}",
@@ -110,7 +117,7 @@ std::string MetricsSnapshot::toJson() const {
       static_cast<unsigned long long>(Cache.Entries),
       static_cast<unsigned long long>(CacheCapacity), cacheHitRate(),
       SpillJson.c_str(), VariantsJson.c_str(), TiersJson.c_str(),
-      ArenaJson.c_str(),
+      EngineJson.c_str(), ArenaJson.c_str(),
       static_cast<unsigned long long>(QueueDepth),
       static_cast<unsigned long long>(LatencySamples), LatencyP50, LatencyP95,
       LatencyP99, NetSection.c_str());
@@ -139,6 +146,12 @@ void ServiceMetrics::recordVariant(const std::string &Label, bool CacheHit) {
 void ServiceMetrics::recordExecTier(const std::string &TierName) {
   std::lock_guard<std::mutex> Lock(TierMutex);
   ++TierCounts[TierName];
+}
+
+void ServiceMetrics::recordPass(const RenderEngine::PassExecStats &Stats) {
+  BatchTiles.fetch_add(Stats.BatchTiles, std::memory_order_relaxed);
+  BailedTiles.fetch_add(Stats.BailedTiles, std::memory_order_relaxed);
+  PerPixelPixels.fetch_add(Stats.PerPixelPixels, std::memory_order_relaxed);
 }
 
 void ServiceMetrics::recordOk(double LatencySeconds, bool CacheHit) {
@@ -173,6 +186,9 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   Out.ShedDeadline = ShedDeadline;
   Out.ShedQuota = ShedQuota;
   Out.RejectedDraining = RejectedDraining;
+  Out.Engine.BatchTiles = BatchTiles;
+  Out.Engine.BailedTiles = BailedTiles;
+  Out.Engine.PerPixelPixels = PerPixelPixels;
 
   std::vector<double> Samples;
   {

@@ -16,6 +16,7 @@
 #ifndef DATASPEC_SERVICE_METRICS_H
 #define DATASPEC_SERVICE_METRICS_H
 
+#include "engine/RenderEngine.h"
 #include "service/UnitCache.h"
 
 #include <atomic>
@@ -72,10 +73,14 @@ struct MetricsSnapshot {
   /// when present only by accident of ordering — labels sort lexically).
   std::vector<VariantStat> Variants;
 
-  /// Requests served per execution tier ("switch"/"threaded"/"batched"),
-  /// sorted by tier name. Only tiers that served at least one request
-  /// appear.
+  /// Requests served per execution tier ("switch"/"batched"), sorted by
+  /// tier name. Only tiers that served at least one request appear.
   std::vector<std::pair<std::string, uint64_t>> ExecTiers;
+
+  /// RenderEngine::PassExecStats summed over every loader and reader
+  /// pass the service ran: tiles runBatch retired, tiles that diverged
+  /// and re-ran per-pixel, and pixels executed per-pixel for any reason.
+  RenderEngine::PassExecStats Engine;
 
   /// Arena accounting, aggregated over the live unit cache at snapshot
   /// time: the configured physical layout, bytes actually allocated
@@ -129,6 +134,8 @@ public:
   /// Attributes one served request to the execution tier that rendered it
   /// (the service's configured tier at finish time).
   void recordExecTier(const std::string &TierName);
+  /// Adds one completed (or trapped) pass's execution statistics.
+  void recordPass(const RenderEngine::PassExecStats &Stats);
   void recordBadRequest() { ++RequestsTotal; ++BadRequests; }
   void recordSpecializeError(double LatencySeconds);
   void recordRenderTrap(double LatencySeconds);
@@ -154,6 +161,9 @@ private:
   std::atomic<uint64_t> ShedDeadline{0};
   std::atomic<uint64_t> ShedQuota{0};
   std::atomic<uint64_t> RejectedDraining{0};
+  std::atomic<uint64_t> BatchTiles{0};
+  std::atomic<uint64_t> BailedTiles{0};
+  std::atomic<uint64_t> PerPixelPixels{0};
 
   mutable std::mutex LatencyMutex;
   std::vector<double> Latencies; // ring buffer

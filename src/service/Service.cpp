@@ -248,7 +248,7 @@ SpecializationService::effectiveOptions(const RenderRequest &Request) const {
 UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
                                          const VariantKey &Variant,
                                          RenderEngine &Engine,
-                                         std::string &Error) const {
+                                         std::string &Error) {
   Clock::time_point Start = Clock::now();
   const ShaderInfo *Info = findShader(Request.Shader);
   if (!Info) {
@@ -298,8 +298,11 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
   Built->Reader = std::move(Spec->Compiled.ReaderChunk);
   // The arena's cached slots hold invariant values only, so the varying
   // controls' build-time values are irrelevant to every later hit.
-  if (!Engine.loaderPass(Built->Loader, Built->Layout, Built->Grid,
-                         Built->LoadControls, Built->Arena)) {
+  const bool Loaded = Engine.loaderPass(Built->Loader, Built->Layout,
+                                        Built->Grid, Built->LoadControls,
+                                        Built->Arena);
+  Metrics.recordPass(Engine.lastPassStats());
+  if (!Loaded) {
     Error = "loader pass trapped: " + Engine.lastTrap();
     return nullptr;
   }
@@ -311,7 +314,7 @@ UnitPtr SpecializationService::buildUnit(const RenderRequest &Request,
 UnitPtr SpecializationService::loadOrBuildUnit(const Pending &P,
                                                RenderEngine &Engine,
                                                bool &FromDisk,
-                                               std::string &Error) const {
+                                               std::string &Error) {
   FromDisk = false;
   if (Spill) {
     if (auto Unit = Spill->load(P.Key, nullptr)) {
@@ -343,8 +346,11 @@ void SpecializationService::finish(Pending &P, const UnitPtr &Unit,
   Reply.Height = P.Request.Height;
   Reply.Pixels.resize(static_cast<size_t>(Reply.Width) * Reply.Height * 3);
   uint32_t PixelCrc = 0;
-  if (!Engine.readerPassRGB(Unit->Reader, Unit->Grid, P.Request.Controls,
-                            Unit->Arena, Reply.Pixels.data(), &PixelCrc)) {
+  const bool Rendered =
+      Engine.readerPassRGB(Unit->Reader, Unit->Grid, P.Request.Controls,
+                           Unit->Arena, Reply.Pixels.data(), &PixelCrc);
+  Metrics.recordPass(Engine.lastPassStats());
+  if (!Rendered) {
     Metrics.recordRenderTrap(secondsSince(P.Enqueued));
     reject(P, RenderStatus::RenderTrap,
            "reader pass trapped: " + Engine.lastTrap());

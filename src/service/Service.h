@@ -176,12 +176,12 @@ private:
   /// (parse + specialize + compile + loader pass), pinned to the
   /// abstract-property \p Variant the request canonicalized onto.
   UnitPtr buildUnit(const RenderRequest &Request, const VariantKey &Variant,
-                    RenderEngine &Engine, std::string &Error) const;
+                    RenderEngine &Engine, std::string &Error);
 
   /// Resolves a unit for \p P: spilled snapshot from disk (a disk hit —
   /// no specializer run) or a fresh build. \p FromDisk reports which.
   UnitPtr loadOrBuildUnit(const Pending &P, RenderEngine &Engine,
-                          bool &FromDisk, std::string &Error) const;
+                          bool &FromDisk, std::string &Error);
 
   /// Renders one request against a resolved unit and fulfills it.
   void finish(Pending &P, const UnitPtr &Unit, bool CacheHit,

@@ -709,7 +709,7 @@ bool inferStackKinds(ExecChunk &C) {
 
 } // namespace
 
-ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
+ExecChunk dspec::buildExecChunk(const Chunk &C) {
   ExecChunk Out;
   std::string Error;
   if (!verifyChunk(C, Error))
@@ -725,14 +725,11 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
 
   const size_t N = C.Code.size();
 
-  // Jump-target set and the static safety flags.
+  // Jump-target set and the effect flag.
   std::vector<bool> IsTarget(N + 1, false);
-  Out.StraightLine = true;
   for (const Instr &In : C.Code) {
-    if (In.Op == OpCode::OC_Jump || In.Op == OpCode::OC_JumpIfFalse) {
-      Out.StraightLine = false;
+    if (In.Op == OpCode::OC_Jump || In.Op == OpCode::OC_JumpIfFalse)
       IsTarget[static_cast<size_t>(In.A)] = true;
-    }
     if (In.Op == OpCode::OC_CallBuiltin &&
         getBuiltinInfo(static_cast<BuiltinId>(In.A)).HasGlobalEffect)
       Out.HasEffects = true;
@@ -751,8 +748,7 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
     E.B = In.B;
     E.C = In.C;
     OldToNew[I] = static_cast<int32_t>(Out.Code.size());
-    if (Fuse && I + 1 < N && !IsTarget[I + 1] &&
-        fusePair(In, C.Code[I + 1], E)) {
+    if (I + 1 < N && !IsTarget[I + 1] && fusePair(In, C.Code[I + 1], E)) {
       I += 2;
     } else {
       E.Op = static_cast<FusedOp>(In.Op);
@@ -775,16 +771,12 @@ ExecChunk dspec::buildExecChunk(const Chunk &C, bool Fuse) {
       *Target = OldToNew[*Target];
     }
 
-  // Loop census and maskable-diamond classification over the decoded
-  // stream (targets are decoded indices from here on).
+  // Maskable-diamond classification over the decoded stream (targets
+  // are decoded indices from here on).
   bool AnyCond = false;
-  for (size_t I = 0; I < Out.Code.size(); ++I) {
-    int32_t T = decodedTarget(Out.Code[I]);
-    if (T >= 0 && static_cast<size_t>(T) <= I)
-      Out.HasLoops = true;
-    if (isCondBranch(Out.Code[I].Op))
+  for (const ExecInstr &E : Out.Code)
+    if (isCondBranch(E.Op))
       AnyCond = true;
-  }
   if (AnyCond) {
     const std::vector<int> Depth = decodedDepths(Out);
     Out.BranchJoin.assign(Out.Code.size(), -1);

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The value-level semantics of the arithmetic and comparison opcodes,
-/// shared by every execution tier (the classic switch interpreter in
-/// VM.cpp and the threaded/batched fast tiers in FastInterp.cpp). The
+/// shared by both execution tiers (the classic switch interpreter in
+/// VM.cpp and the batched tier in FastInterp.cpp). The
 /// bit-identical-framebuffer guarantee across tiers rests on all of them
 /// calling exactly these functions in exactly the same operand order, so
 /// do not duplicate or "optimize" these per tier.
@@ -99,43 +99,6 @@ inline Value opDiv(const Value &L, const Value &R) {
       [](int32_t A, int32_t B) { return A / B; });
 }
 
-inline Value opNeg(const Value &V) {
-  if (V.isInt())
-    return Value::makeInt(-V.I);
-  if (V.isVector()) {
-    Value Out = V;
-    for (unsigned I = 0; I < V.width(); ++I)
-      Out.F[I] = -V.F[I];
-    return Out;
-  }
-  return Value::makeFloat(-V.asFloat());
-}
-
-inline Value opLt(const Value &L, const Value &R) {
-  return compare(L, R, [](float A, float B) { return A < B; });
-}
-inline Value opLe(const Value &L, const Value &R) {
-  return compare(L, R, [](float A, float B) { return A <= B; });
-}
-inline Value opGt(const Value &L, const Value &R) {
-  return compare(L, R, [](float A, float B) { return A > B; });
-}
-inline Value opGe(const Value &L, const Value &R) {
-  return compare(L, R, [](float A, float B) { return A >= B; });
-}
-
-inline Value opEq(const Value &L, const Value &R) {
-  if (L.isBool() && R.isBool())
-    return Value::makeBool(L.I == R.I);
-  return compare(L, R, [](float A, float B) { return A == B; });
-}
-
-inline Value opNe(const Value &L, const Value &R) {
-  if (L.isBool() && R.isBool())
-    return Value::makeBool(L.I != R.I);
-  return compare(L, R, [](float A, float B) { return A != B; });
-}
-
 /// The min/max builtins. std::fmin/fmax leave the sign of a zero result
 /// open when -0.0 meets +0.0, and the compiler expands them differently
 /// in scalar and vectorized code, so every tier calls these instead: a
@@ -171,15 +134,6 @@ inline int32_t toInt32(float X) {
   return static_cast<int32_t>(static_cast<uint32_t>(I) |
                               (0x80000000u & ~InRange));
 }
-
-/// Branch-condition truth of the fused compare+JumpIfFalse pairs, shared
-/// by the threaded tier's scalar jumps and the batched tier's per-lane
-/// uniformity/divergence decisions so both agree bit-for-bit with the
-/// boxed compare + OC_JumpIfFalse sequence they replace.
-inline bool cmpLt(const Value &L, const Value &R) { return opLt(L, R).I != 0; }
-inline bool cmpLe(const Value &L, const Value &R) { return opLe(L, R).I != 0; }
-inline bool cmpGt(const Value &L, const Value &R) { return opGt(L, R).I != 0; }
-inline bool cmpGe(const Value &L, const Value &R) { return opGe(L, R).I != 0; }
 
 } // namespace interp
 } // namespace dspec

@@ -40,7 +40,7 @@ struct ExecResult {
   Value Result;
   bool Trapped = false;
   std::string TrapMessage;
-  /// Scalar tiers: instructions retired. Batched tier: *active lanes*
+  /// Switch tier: instructions retired. Batched tier: *active lanes*
   /// summed per retired instruction — a lane masked off by divergence is
   /// not billed, so the instruction budget charges a divergent tile the
   /// same work a per-pixel run would have done.
@@ -85,7 +85,7 @@ struct BatchArg {
 /// One tile's worth of pixels for the batched interpreter: per-parameter
 /// columns, strided packed caches, and where each lane's result goes.
 /// The caller (the render engine) passes identical per-lane arguments to
-/// what it would pass the scalar tiers.
+/// what it would pass the switch tier.
 struct BatchRequest {
   /// NumArgs parameters, in the chunk's parameter order.
   const BatchArg *Args = nullptr;
@@ -142,16 +142,7 @@ public:
   ExecResult run(const Chunk &C, const std::vector<Value> &Args,
                  CacheView View);
 
-  /// Fast tier 1: executes a decoded (and typically superinstruction-
-  /// fused) chunk with direct-threaded dispatch (computed goto on
-  /// GCC/Clang; a token-threaded switch under DSPEC_FORCE_SWITCH_DISPATCH
-  /// or other compilers). \p C must be Valid. Bit-identical results and
-  /// trap messages to the classic run() — both call the shared semantics
-  /// in vm/InterpOps.h. Pass a default CacheView for cache-less chunks.
-  ExecResult runThreaded(const ExecChunk &C, const std::vector<Value> &Args,
-                         CacheView View = CacheView());
-
-  /// Fast tier 2: executes one instruction stream over a whole tile of
+  /// The batched tier: executes one instruction stream over a whole tile of
   /// lanes — one fetch/dispatch per instruction, a unit-stride loop over
   /// typed f32/i32 lane columns per operation, with the operand kinds
   /// ExecChunk::StackKinds fixed statically. \p C must be Valid and
@@ -159,7 +150,7 @@ public:
   ///
   /// Control flow runs GPU-warp style. Branch conditions are evaluated
   /// over the *active* lanes only; a uniform outcome takes the jump (or
-  /// falls through) in lockstep exactly like the scalar tiers, so
+  /// falls through) in lockstep exactly like the switch tier, so
   /// straight-line chunks and uniform loops pay nothing. A divergent
   /// conditional that heads a maskable diamond (ExecChunk::BranchJoin)
   /// pushes a mask frame: both arms execute with inactive lanes

@@ -61,8 +61,7 @@ std::vector<unsigned char> canonical(const CacheArena &Arena) {
   return std::vector<unsigned char>(Bytes.begin(), Bytes.end());
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 struct NamedLayout {
   const char *Name;

@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fast execution tiers' contract (docs/ENGINE.md, "Execution
-/// tiers"): the decoded/fused ExecChunk and the threaded and batched
-/// tiers are pure speed — every gallery shader renders bit-identical
-/// framebuffers and loads bit-identical cache arenas under every tier
-/// and thread count, argument checks and traps carry the same message
-/// everywhere, and superinstruction fusion never crosses a jump target.
+/// The execution tiers' contract (docs/ENGINE.md, "Execution tiers"):
+/// the decoded/fused ExecChunk and the batched tier are pure speed —
+/// every gallery shader renders bit-identical framebuffers and loads
+/// bit-identical cache arenas under both tiers and every thread count,
+/// traps carry the same message everywhere, and superinstruction fusion
+/// never crosses a jump target.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BatchTile.h"
 #include "engine/RenderEngine.h"
 #include "shading/ShaderLab.h"
 #include "vm/ExecChunk.h"
@@ -60,8 +61,7 @@ Chunk compileOne(const std::string &Source, const std::string &Name) {
   return *Code;
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 //===----------------------------------------------------------------------===//
 // ExecChunk: decoding, fusion, flags
@@ -84,7 +84,8 @@ TEST(ExecChunk, FusesStraightLineIdiomsAndKeepsSemantics) {
   Chunk Code = compileOne("float f(float a) { return a * 2.0 + 1.0; }", "f");
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  EXPECT_TRUE(Exec.StraightLine);
+  EXPECT_TRUE(Exec.BranchJoin.empty());
+  EXPECT_EQ(Exec.MaskableBranches + Exec.UnmaskableBranches, 0u);
   EXPECT_TRUE(Exec.BatchSafe);
   EXPECT_LT(Exec.Code.size(), Code.Code.size())
       << "fusion should shrink the straight-line stream";
@@ -101,13 +102,19 @@ TEST(ExecChunk, FusesStraightLineIdiomsAndKeepsSemantics) {
       << "const+mul / const+add are the targeted idioms here";
   EXPECT_FALSE(fusedHistogram(Exec).empty());
 
+  // The fused stream computes what the source does, lane for lane.
   VM Machine;
-  for (float X : {0.0f, -3.5f, 1e20f}) {
-    auto Ref = Machine.run(Code, {Value::makeFloat(X)});
-    auto Fast = Machine.runThreaded(Exec, {Value::makeFloat(X)});
+  const std::vector<float> Inputs = {0.0f, -3.5f, 1e20f};
+  std::vector<std::vector<Value>> Lanes;
+  for (float X : Inputs)
+    Lanes.push_back({Value::makeFloat(X)});
+  TileRun Tile = runTile(Machine, Exec, Lanes);
+  ASSERT_TRUE(Tile.R.ok()) << Tile.R.TrapMessage;
+  ASSERT_FALSE(Tile.R.Diverged);
+  for (size_t L = 0; L < Inputs.size(); ++L) {
+    auto Ref = Machine.run(Code, Lanes[L]);
     ASSERT_TRUE(Ref.ok());
-    ASSERT_TRUE(Fast.ok()) << Fast.TrapMessage;
-    EXPECT_TRUE(bitIdentical(Ref.Result, Fast.Result)) << X;
+    EXPECT_TRUE(bitIdentical(Ref.Result, Tile.Results[L])) << Inputs[L];
   }
 }
 
@@ -124,35 +131,26 @@ TEST(ExecChunk, BranchyChunksStayExecutableAndClassify) {
                           "f");
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
-  EXPECT_FALSE(Exec.StraightLine);
   // Branchy chunks are batch-eligible since the masked batched tier: the
   // loop exit classifies unmaskable (runtime divergence bails the tile),
   // the inner if classifies as a maskable diamond.
   EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_TRUE(Exec.HasLoops);
   EXPECT_EQ(Exec.MaskableBranches, 1u);
   EXPECT_EQ(Exec.UnmaskableBranches, 1u);
   ASSERT_EQ(Exec.BranchJoin.size(), Exec.Code.size());
 
   // Fusion must preserve loop semantics exactly — jump targets are
-  // remapped and no pair straddles one.
+  // remapped and no pair straddles one. One lane per trip count: lanes
+  // with different counts would diverge at the loop exit and bail.
   VM Machine;
   for (int N : {0, 1, 2, 7, 100}) {
     auto Ref = Machine.run(Code, {Value::makeInt(N)});
-    auto Fast = Machine.runThreaded(Exec, {Value::makeInt(N)});
+    TileRun Tile = runTile(Machine, Exec, {{Value::makeInt(N)}});
     ASSERT_TRUE(Ref.ok());
-    ASSERT_TRUE(Fast.ok()) << Fast.TrapMessage;
-    EXPECT_TRUE(bitIdentical(Ref.Result, Fast.Result)) << "n=" << N;
+    ASSERT_TRUE(Tile.R.ok()) << Tile.R.TrapMessage;
+    ASSERT_FALSE(Tile.R.Diverged) << "n=" << N;
+    EXPECT_TRUE(bitIdentical(Ref.Result, Tile.Results[0])) << "n=" << N;
   }
-
-  // The unfused decode must agree too (the switch-dispatch fallback
-  // executes the same stream).
-  ExecChunk Plain = buildExecChunk(Code, /*Fuse=*/false);
-  ASSERT_TRUE(Plain.Valid);
-  EXPECT_EQ(Plain.Code.size(), Code.Code.size());
-  auto Fast = Machine.runThreaded(Plain, {Value::makeInt(9)});
-  auto Ref = Machine.run(Code, {Value::makeInt(9)});
-  EXPECT_TRUE(bitIdentical(Ref.Result, Fast.Result));
 }
 
 TEST(ExecChunk, InvalidChunkIsRejected) {
@@ -182,13 +180,12 @@ TEST(ExecChunk, GalleryReadersDecodeAndAllBatch) {
     if (Exec.BatchSafe)
       ++BatchSafe;
     EXPECT_EQ(Exec.BatchSafe, !Exec.HasEffects) << Info.Name;
-    if (!Exec.StraightLine) {
+    if (Exec.MaskableBranches + Exec.UnmaskableBranches != 0) {
       ++Branchy;
-      EXPECT_TRUE(Exec.HasLoops) << Info.Name;
       EXPECT_GT(Exec.UnmaskableBranches, 0u) << Info.Name;
+      EXPECT_EQ(Exec.BranchJoin.size(), Exec.Code.size()) << Info.Name;
     } else {
-      EXPECT_EQ(Exec.MaskableBranches + Exec.UnmaskableBranches, 0u)
-          << Info.Name;
+      EXPECT_TRUE(Exec.BranchJoin.empty()) << Info.Name;
     }
   }
   EXPECT_EQ(Total, 10u);
@@ -210,13 +207,6 @@ TEST(VMTrap, IntDivisionByZeroReportsSourceLoc) {
       << R.TrapMessage;
   EXPECT_NE(R.TrapMessage.find(" at 2:"), std::string::npos)
       << "expected the divisor's line in: " << R.TrapMessage;
-
-  // The threaded tier reports the identical message.
-  ExecChunk Exec = buildExecChunk(Code);
-  ASSERT_TRUE(Exec.Valid);
-  auto Fast = Machine.runThreaded(Exec, {Value::makeInt(0)});
-  ASSERT_TRUE(Fast.Trapped);
-  EXPECT_EQ(Fast.TrapMessage, R.TrapMessage);
 }
 
 TEST(VMTrap, IntModuloByZeroReportsSourceLoc) {
@@ -246,99 +236,35 @@ TEST(VMTrap, HandWrittenChunksWithoutLocsKeepBareMessage) {
   EXPECT_EQ(R.TrapMessage, "integer division by zero in 'old'");
 }
 
-//===----------------------------------------------------------------------===//
-// Threaded entry checks and budget against the switch reference
-//===----------------------------------------------------------------------===//
-
-/// Wrong arity and wrong argument type trap before the first instruction
-/// with the switch tier's exact messages, and an int argument to a float
-/// parameter is promoted the same way.
-TEST(ExecTiers, ThreadedArgumentChecksMatchSwitch) {
-  const Chunk Code = compileOne("float f(float a) { return a + 1.0; }", "f");
-  ExecChunk Exec = buildExecChunk(Code);
-  ASSERT_TRUE(Exec.Valid);
-  VM Machine;
-
-  auto Ref = Machine.run(Code, {});
-  auto Fast = Machine.runThreaded(Exec, {});
-  ASSERT_TRUE(Ref.Trapped && Fast.Trapped);
-  EXPECT_NE(Ref.TrapMessage.find("argument count mismatch"),
-            std::string::npos)
-      << Ref.TrapMessage;
-  EXPECT_EQ(Fast.TrapMessage, Ref.TrapMessage);
-
-  Ref = Machine.run(Code, {Value::makeBool(true)});
-  Fast = Machine.runThreaded(Exec, {Value::makeBool(true)});
-  ASSERT_TRUE(Ref.Trapped && Fast.Trapped);
-  EXPECT_NE(Ref.TrapMessage.find("argument type mismatch"),
-            std::string::npos)
-      << Ref.TrapMessage;
-  EXPECT_EQ(Fast.TrapMessage, Ref.TrapMessage);
-
-  Ref = Machine.run(Code, {Value::makeInt(3)});
-  Fast = Machine.runThreaded(Exec, {Value::makeInt(3)});
-  ASSERT_TRUE(Ref.ok()) << Ref.TrapMessage;
-  ASSERT_TRUE(Fast.ok()) << Fast.TrapMessage;
-  EXPECT_EQ(Ref.Result.Kind, TypeKind::TK_Float);
-  EXPECT_EQ(Ref.Result.F[0], 4.0f);
-  EXPECT_TRUE(bitIdentical(Fast.Result, Ref.Result));
-}
-
-/// A runaway loop stops on the instruction budget with the same trap on
-/// both scalar tiers (fusion changes the count of dispatches, not the
-/// message or the fact of the trap).
-TEST(ExecTiers, ThreadedBudgetTrapMatchesSwitch) {
-  const Chunk Spin = compileOne("int f(int n) {\n"
-                                "  int i = 0;\n"
-                                "  while (i < n) { i = i + 1; }\n"
-                                "  return i;\n"
-                                "}",
-                                "f");
-  ExecChunk Exec = buildExecChunk(Spin);
-  ASSERT_TRUE(Exec.Valid);
-  VM Machine;
-  Machine.InstructionBudget = 100;
-  auto Ref = Machine.run(Spin, {Value::makeInt(1 << 20)});
-  auto Fast = Machine.runThreaded(Exec, {Value::makeInt(1 << 20)});
-  ASSERT_TRUE(Ref.Trapped);
-  ASSERT_TRUE(Fast.Trapped);
-  EXPECT_NE(Ref.TrapMessage.find("instruction budget exceeded"),
-            std::string::npos)
-      << Ref.TrapMessage;
-  EXPECT_EQ(Fast.TrapMessage, Ref.TrapMessage);
-
-  // Under the budget both tiers finish with the same answer.
-  Ref = Machine.run(Spin, {Value::makeInt(10)});
-  Fast = Machine.runThreaded(Exec, {Value::makeInt(10)});
-  ASSERT_TRUE(Ref.ok() && Fast.ok());
-  EXPECT_TRUE(bitIdentical(Fast.Result, Ref.Result));
-}
-
-/// "native" names no tier: the parser rejects it, and so does the CLI,
-/// with a usage error (exit 1) that lists the tiers there are.
+/// "native" and "threaded" name no tier: the parser rejects them, and so
+/// does the CLI, with a usage error (exit 1) that lists the tiers there
+/// are.
 TEST(ExecTiers, NativeIsNotATier) {
-  ExecTier Tier = ExecTier::Switch;
-  EXPECT_FALSE(parseExecTier("native", Tier));
-  EXPECT_EQ(Tier, ExecTier::Switch) << "a failed parse must not write Out";
+  for (const char *Gone : {"native", "threaded"}) {
+    ExecTier Tier = ExecTier::Switch;
+    EXPECT_FALSE(parseExecTier(Gone, Tier)) << Gone;
+    EXPECT_EQ(Tier, ExecTier::Switch) << "a failed parse must not write Out";
+  }
   for (ExecTier Known : kTiers) {
     ExecTier Parsed = ExecTier::Switch;
     EXPECT_TRUE(parseExecTier(execTierName(Known), Parsed));
     EXPECT_EQ(Parsed, Known);
   }
 
-  const std::string Command =
-      std::string("\"") + DSPEC_CLI_PATH + "\" serve --exec-tier native 2>&1";
-  FILE *Pipe = popen(Command.c_str(), "r");
-  ASSERT_NE(Pipe, nullptr);
-  std::string Output;
-  char Buf[256];
-  while (size_t N = std::fread(Buf, 1, sizeof(Buf), Pipe))
-    Output.append(Buf, N);
-  const int Status = pclose(Pipe);
-  ASSERT_TRUE(WIFEXITED(Status)) << Output;
-  EXPECT_EQ(WEXITSTATUS(Status), 1) << Output;
-  EXPECT_NE(Output.find("switch|threaded|batched"), std::string::npos)
-      << Output;
+  for (const char *Gone : {"native", "threaded"}) {
+    const std::string Command = std::string("\"") + DSPEC_CLI_PATH +
+                                "\" serve --exec-tier " + Gone + " 2>&1";
+    FILE *Pipe = popen(Command.c_str(), "r");
+    ASSERT_NE(Pipe, nullptr);
+    std::string Output;
+    char Buf[256];
+    while (size_t N = std::fread(Buf, 1, sizeof(Buf), Pipe))
+      Output.append(Buf, N);
+    const int Status = pclose(Pipe);
+    ASSERT_TRUE(WIFEXITED(Status)) << Output;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Gone << ": " << Output;
+    EXPECT_NE(Output.find("switch|batched"), std::string::npos) << Output;
+  }
 }
 
 //===----------------------------------------------------------------------===//

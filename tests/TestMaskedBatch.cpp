@@ -8,13 +8,14 @@
 /// The batched tier's divergent-lane contract (docs/ENGINE.md, "Masked
 /// divergent-lane execution"): maskable diamonds execute both arms with
 /// inactive lanes suppressed and reconverge bit-identically to the
-/// scalar tiers, inactive lanes never trap, active-lane traps recover
+/// switch tier, inactive lanes never trap, active-lane traps recover
 /// the canonical per-pixel diagnostic through the engine, divergence at
 /// an unmaskable branch bails the tile (never corrupts it), and the
 /// instruction budget bills active lanes only.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BatchTile.h"
 #include "driver/Pipeline.h"
 #include "engine/RenderEngine.h"
 #include "specialize/CacheLayout.h"
@@ -59,49 +60,7 @@ Chunk compileOne(const std::string &Source, const std::string &Name) {
   return *Code;
 }
 
-constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                               ExecTier::Batched};
-
-/// Drives VM::runBatch over one cache-less tile, one lane per entry of
-/// \p LaneArgs. Results are pre-filled with an int sentinel so tests can
-/// observe "results unwritten" on a bail-out.
-struct TileRun {
-  ExecResult R;
-  std::vector<Value> Results;
-};
-
-TileRun runTile(VM &Machine, const ExecChunk &Exec,
-                const std::vector<std::vector<Value>> &LaneArgs) {
-  const unsigned Lanes = static_cast<unsigned>(LaneArgs.size());
-  const unsigned NumArgs =
-      Lanes ? static_cast<unsigned>(LaneArgs[0].size()) : 0;
-  // One column set per parameter: every lane's component C (or int).
-  std::vector<std::vector<float>> Floats(NumArgs * 4u);
-  std::vector<std::vector<int32_t>> Ints(NumArgs);
-  std::vector<BatchArg> Args(NumArgs);
-  for (unsigned A = 0; A < NumArgs; ++A) {
-    Args[A].Kind = LaneArgs[0][A].Kind;
-    for (const auto &Lane : LaneArgs) {
-      EXPECT_EQ(Lane.size(), NumArgs);
-      EXPECT_EQ(Lane[A].Kind, Args[A].Kind) << "lane kinds must be uniform";
-      Ints[A].push_back(Lane[A].I);
-      for (unsigned C = 0; C < 4; ++C)
-        Floats[A * 4 + C].push_back(Lane[A].F[C]);
-    }
-    Args[A].Ints = Ints[A].data();
-    for (unsigned C = 0; C < 4; ++C)
-      Args[A].Cols[C] = Floats[A * 4 + C].data();
-  }
-  TileRun Out;
-  Out.Results.assign(Lanes, Value::makeInt(-777001));
-  BatchRequest Req;
-  Req.Args = Args.data();
-  Req.NumArgs = NumArgs;
-  Req.Lanes = Lanes;
-  Req.Results = Out.Results.data();
-  Out.R = Machine.runBatch(Exec, Req);
-  return Out;
-}
+constexpr ExecTier kTiers[] = {ExecTier::Switch, ExecTier::Batched};
 
 /// Asserts a batch run succeeded without bailing and that every lane
 /// matches the classic switch interpreter bit-for-bit.
@@ -139,7 +98,6 @@ TEST(MaskedBatch, DivergentDiamondMatchesScalar) {
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
   EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_FALSE(Exec.HasLoops);
   EXPECT_EQ(Exec.MaskableBranches, 1u);
   EXPECT_EQ(Exec.UnmaskableBranches, 0u);
 
@@ -297,7 +255,6 @@ TEST(MaskedBatch, UniformLoopBatchesInLockstep) {
   ExecChunk Exec = buildExecChunk(Code);
   ASSERT_TRUE(Exec.Valid);
   EXPECT_TRUE(Exec.BatchSafe);
-  EXPECT_TRUE(Exec.HasLoops);
   EXPECT_GT(Exec.UnmaskableBranches, 0u);
 
   VM Machine;
@@ -354,14 +311,19 @@ TEST(MaskedBatch, BudgetCountsActiveLanesOnly) {
   VM Machine;
 
   // Uniform tile: every dispatch runs all lanes, so the bill is exactly
-  // Lanes x the scalar instruction count.
-  auto Scalar = Machine.runThreaded(Exec, floatArgs(0.9f));
+  // Lanes x the one-lane bill. Fusion only merges source instructions,
+  // so that stays within Lanes x the switch tier's count.
+  auto Scalar = Machine.run(Code, floatArgs(0.9f));
   ASSERT_TRUE(Scalar.ok());
+  TileRun OneLane = runTile(Machine, Exec, {floatArgs(0.9f)});
+  ASSERT_TRUE(OneLane.R.ok());
+  EXPECT_TRUE(bitIdentical(OneLane.Results[0], Scalar.Result));
+  EXPECT_LE(OneLane.R.InstructionsExecuted, Scalar.InstructionsExecuted);
   TileRun Uniform = runTile(
       Machine, Exec, {floatArgs(0.9f), floatArgs(0.9f), floatArgs(0.9f)});
   ASSERT_TRUE(Uniform.R.ok());
   EXPECT_EQ(Uniform.R.InstructionsExecuted,
-            3u * Scalar.InstructionsExecuted);
+            3u * OneLane.R.InstructionsExecuted);
   EXPECT_GT(Uniform.R.BatchDispatches, 0u);
   EXPECT_EQ(Uniform.R.InstructionsExecuted,
             Uniform.R.BatchDispatches * 3u)
@@ -419,7 +381,7 @@ vec3 branchy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
 
 const char *kLoopyShader = R"(
 // Masked store feeding a data-dependent trip count: the loop exit
-// diverges at runtime, so batched tiles bail to the threaded tier.
+// diverges at runtime, so batched tiles bail to the switch tier.
 vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
   int n = 1;
   if (uv.x > t) { n = 3; }
@@ -467,7 +429,7 @@ TEST(MaskedEngine, BranchyDifferentialAcrossTiersAndThreads) {
           EXPECT_GT(Engine.lastPassStats().activeFraction(), 0.0);
         }
         if (Tier == ExecTier::Batched && Code.Name == "loopy") {
-          // The divergent loop exit bails tiles to the threaded tier.
+          // The divergent loop exit bails tiles to the switch tier.
           EXPECT_GT(Engine.lastPassStats().BailedTiles, 0u);
         }
       }
@@ -673,7 +635,7 @@ TEST(StaticKinds, JoinOfDifferentKindsRunsPerPixel) {
 }
 
 TEST(StaticKinds, MemberPastVectorWidthRunsPerPixel) {
-  // uv.z and P.w read a Value's zero padding on the scalar tiers; a
+  // uv.z and P.w read a Value's zero padding on the switch tier; a
   // column past the width would hold stale data.
   Chunk Code = pixelChunk("memberpast", {},
                           {{OpCode::OC_LoadLocal, 0, 0, 0},

@@ -342,8 +342,7 @@ vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
     ASSERT_TRUE(Loader.loaderPass(Spec->LoaderChunk, Spec->Spec.Layout, G,
                                   Controls, Arena))
         << Loader.lastTrap();
-    for (ExecTier Tier :
-         {ExecTier::Switch, ExecTier::Threaded, ExecTier::Batched})
+    for (ExecTier Tier : {ExecTier::Switch, ExecTier::Batched})
       for (unsigned Threads : {1u, 4u}) {
         RenderEngine Engine(Threads, Grid.TilePixels);
         Engine.setExecTier(Tier);

@@ -617,6 +617,50 @@ TEST(Service, PerPixelReaderWritesTheSamePayload) {
   expectRepliesMatchSwitch(Service);
 }
 
+/// /statsz sums every loader and reader pass's execution counters: on
+/// the batched tier every gallery tile retires batched, on the switch
+/// tier every pixel of every pass runs per-pixel.
+TEST(Service, StatszSumsEnginePassCounters) {
+  const unsigned W = 24, H = 16, Tiles = (W * H + 127) / 128;
+  for (ExecTier Tier : {ExecTier::Batched, ExecTier::Switch}) {
+    ServiceConfig Config;
+    Config.RenderThreads = 2;
+    Config.Tier = Tier;
+    SpecializationService Service(Config);
+    const ShaderInfo *Info = findShader("marble");
+    ASSERT_NE(Info, nullptr);
+    RenderRequest Request;
+    Request.Shader = Info->Name;
+    Request.Width = W;
+    Request.Height = H;
+    Request.Controls = ShaderLab::defaultControls(*Info);
+    for (unsigned Frame = 0; Frame < 2; ++Frame) {
+      Request.Controls[0] = Frame ? Info->Controls[0].SweepMax
+                                  : Info->Controls[0].SweepMin;
+      ASSERT_TRUE(Service.render(Request).ok());
+    }
+    // One loader pass (the miss) and two reader passes.
+    const uint64_t Passes = 3;
+    const MetricsSnapshot Stats = Service.statsz();
+    const std::string Tag = execTierName(Tier);
+    EXPECT_EQ(Stats.Engine.BailedTiles, 0u) << Tag;
+    if (Tier == ExecTier::Batched) {
+      EXPECT_EQ(Stats.Engine.BatchTiles, Passes * Tiles) << Tag;
+      EXPECT_EQ(Stats.Engine.PerPixelPixels, 0u) << Tag;
+    } else {
+      EXPECT_EQ(Stats.Engine.BatchTiles, 0u) << Tag;
+      EXPECT_EQ(Stats.Engine.PerPixelPixels, Passes * W * H) << Tag;
+    }
+    const std::string Expected =
+        "\"engine\":{\"batch_tiles\":" +
+        std::to_string(Stats.Engine.BatchTiles) +
+        ",\"bailed_tiles\":0,\"per_pixel_pixels\":" +
+        std::to_string(Stats.Engine.PerPixelPixels) + "}";
+    EXPECT_NE(Stats.toJson().find(Expected), std::string::npos)
+        << Tag << ": " << Stats.toJson();
+  }
+}
+
 TEST(Service, ShedsWhenQueueIsFull) {
   ServiceConfig Config;
   Config.QueueCapacity = 1;

@@ -112,6 +112,7 @@ class TypedLanesGallery : public ::testing::TestWithParam<size_t> {};
 /// Loader, reader (as Values and as RGB floats) and original passes of
 /// every partition of one shader, batched at 1 and 4 threads, against
 /// the switch tier. 37 x 23 = 851 pixels leaves a 83-lane last tile.
+/// No pixel of any pass takes the per-pixel fallback.
 TEST_P(TypedLanesGallery, EveryPartitionMatchesSwitchInBothOutputForms) {
   const ShaderInfo &Info = shaderGallery()[GetParam()];
   const unsigned W = 37, H = 23;
@@ -144,6 +145,7 @@ TEST_P(TypedLanesGallery, EveryPartitionMatchesSwitchInBothOutputForms) {
       ASSERT_TRUE(Spec->load(Engine, Lab.grid(), Controls, &Load))
           << Tag << ": " << Engine.lastTrap();
       EXPECT_GT(Engine.lastPassStats().BatchTiles, 0u) << Tag;
+      EXPECT_EQ(Engine.lastPassStats().PerPixelPixels, 0u) << "loader " << Tag;
       EXPECT_EQ(arenaBytes(Spec->arena()), ArenaRef)
           << Tag << ": loader pass filled different arena bytes";
       expectSameImage(LoadRef, Load, "loader " + Tag);
@@ -152,6 +154,7 @@ TEST_P(TypedLanesGallery, EveryPartitionMatchesSwitchInBothOutputForms) {
       ASSERT_TRUE(Spec->readFrame(Engine, Lab.grid(), Controls, &Read))
           << Tag << ": " << Engine.lastTrap();
       EXPECT_GT(Engine.lastPassStats().BatchTiles, 0u) << Tag;
+      EXPECT_EQ(Engine.lastPassStats().PerPixelPixels, 0u) << "reader " << Tag;
       expectSameImage(ReadRef, Read, "reader " + Tag);
 
       std::vector<float> RGB = rgbBuffer(static_cast<size_t>(W) * H);
@@ -164,6 +167,8 @@ TEST_P(TypedLanesGallery, EveryPartitionMatchesSwitchInBothOutputForms) {
       ASSERT_TRUE(Spec->originalFrame(Engine, Lab.grid(), Controls, &Plain))
           << Tag << ": " << Engine.lastTrap();
       EXPECT_GT(Engine.lastPassStats().BatchTiles, 0u) << Tag;
+      EXPECT_EQ(Engine.lastPassStats().PerPixelPixels, 0u)
+          << "original " << Tag;
       expectSameImage(PlainRef, Plain, "original " + Tag);
     }
   }
@@ -333,9 +338,6 @@ TEST(TypedLanes, ToIntIsDefinedForNonFiniteAndHugeInputs) {
     ExecResult Switch = Machine.run(Code, {Value::makeFloat(X)});
     ASSERT_TRUE(Switch.ok()) << What << ": " << Switch.TrapMessage;
     EXPECT_EQ(Switch.Result.asInt(), Expected) << What << " on switch";
-    ExecResult Threaded = Machine.runThreaded(Exec, {Value::makeFloat(X)});
-    ASSERT_TRUE(Threaded.ok()) << What << ": " << Threaded.TrapMessage;
-    EXPECT_EQ(Threaded.Result.asInt(), Expected) << What << " on threaded";
     Col.push_back(X);
   }
   BatchArg Arg;
@@ -446,9 +448,15 @@ vec3 loopy(vec2 uv, vec3 P, vec3 N, vec3 I, float t) {
     ASSERT_TRUE(Engine.readerPassRGB(Spec->ReaderChunk, Grid, Controls, Arena,
                                      RGB.data()))
         << Engine.lastTrap();
-    EXPECT_GT(Engine.lastPassStats().BailedTiles, 0u)
+    const RenderEngine::PassExecStats &Stats = Engine.lastPassStats();
+    EXPECT_GT(Stats.BailedTiles, 0u)
         << "the reader's loop must diverge for this test to cover the "
            "fallback";
+    // Every pixel of a bailed tile, and only those, ran per-pixel.
+    EXPECT_GT(Stats.PerPixelPixels, 0u);
+    EXPECT_LE(Stats.PerPixelPixels, Stats.BailedTiles * Engine.tilePixels());
+    EXPECT_GT(Stats.PerPixelPixels,
+              (Stats.BailedTiles - 1) * Engine.tilePixels());
     expectSameFloats(RGBRef, RGB, "@" + std::to_string(Threads) + "t");
   }
 }

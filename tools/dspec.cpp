@@ -28,7 +28,7 @@
 ///
 ///   dspec serve (--socket PATH | --listen HOST:PORT) [--io-threads N]
 ///         [--threads N] [--tile PIXELS] [--cache-units N] [--queue N]
-///         [--dispatchers N] [--exec-tier switch|threaded|batched]
+///         [--dispatchers N] [--exec-tier switch|batched]
 ///         [--quota-rps R] [--quota-burst B] [--client-queue N]
 ///         [--read-deadline MS] [--stream-chunk PIXELS]
 ///         [--spill-dir PATH] [--spill-cap-mb N]
@@ -99,7 +99,7 @@ void usage(const char *Argv0) {
       "            [--threads N] [--tile PIXELS] [--cache-units N]\n"
       "            [--cache-shards N] [--queue N] [--dispatchers N]\n"
       "            [--variants N]\n"
-      "            [--exec-tier switch|threaded|batched] [--quota-rps R]\n"
+      "            [--exec-tier switch|batched] [--quota-rps R]\n"
       "            [--arena-layout pixel-major|slot-major|tile-blocked|auto]\n"
       "            [--llc-bytes N|auto]\n"
       "            [--quota-burst B] [--client-queue N] [--read-deadline MS]\n"
@@ -508,7 +508,7 @@ int serveMain(int Argc, char **Argv) {
       const char *Name = NextValue();
       if (!parseExecTier(Name, Config.Tier)) {
         std::fprintf(stderr,
-                     "error: --exec-tier expects switch|threaded|batched "
+                     "error: --exec-tier expects switch|batched "
                      "(got '%s')\n",
                      Name);
         return kExitUsage;
@@ -971,19 +971,20 @@ int main(int Argc, char **Argv) {
   if (Options.CollectExplanation) {
     std::printf("\n%s", Spec->Spec.Explanation.c_str());
 
-    // The execution view: what the fast interpreter's fusion pass made of
+    // The execution view: what the batched tier's fusion pass made of
     // the reader bytecode (see docs/ENGINE.md, "Execution tiers"). The
     // decoded classification is authoritative over the AST-level counts
     // printed above: a batch-safe (effect-free) reader starts on the
     // batched tier, masks its maskable diamonds when lanes diverge, and
-    // bails a tile to per-pixel execution only at a divergent unmaskable
-    // branch.
+    // bails a tile to per-pixel switch execution only at a divergent
+    // unmaskable branch.
     ExecChunk Exec = buildExecChunk(Spec->ReaderChunk);
     if (Exec.Valid) {
       const char *TierName =
           !Exec.BatchSafe
-              ? (Exec.HasEffects ? "effectful, per-pixel tier"
-                                 : "dynamically kinded, per-pixel tier")
+              ? (Exec.HasEffects
+                     ? "effectful, per-pixel switch tier"
+                     : "dynamically kinded, per-pixel switch tier")
               : (Exec.UnmaskableBranches
                      ? "batched tier, bails on divergent loops"
                      : "batched tier");
